@@ -8,14 +8,11 @@ it in ~40 lines, then verifies the approximate variant compresses more on
 clustered data while staying inside the error budget.
 """
 
-from typing import List
-
 from repro.compression.base import (
     CompressionScheme,
     DecodeResult,
     EncodedBlock,
     NodeCodec,
-    WordEncoding,
 )
 from repro.core import Avcl, CacheBlock
 
@@ -26,6 +23,12 @@ class ByteTruncationNode(NodeCodec):
     With the AVCL in front, a word whose low byte lies entirely inside its
     don't-care mask also qualifies — the byte is dropped and the decoder
     reconstructs it as zero, within the error budget.
+
+    An encoder hands ``_finish_encode`` three per-word results: the word
+    the decoder will recover (``decoded``), what the packet carries in its
+    place (``codes``; None for a verbatim word) and a bitmask of the words
+    it approximated.  The mask is the encoder's declaration: NoCSan rejects
+    any delivered value that differs from the original without its bit.
     """
 
     def __init__(self, scheme, node_id):
@@ -34,31 +37,32 @@ class ByteTruncationNode(NodeCodec):
                      if scheme.error_threshold_pct else None)
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        words: List[WordEncoding] = []
+        decoded, codes = [], []
+        approx_mask = 0
         size_bits = 0
-        for word in block.words:
+        for index, word in enumerate(block.words):
             mask = 0
             if self.avcl is not None and block.approximable:
                 info = self.avcl.evaluate(word, block.dtype)
                 if not info.bypass:
                     mask = info.mask
             if (word & ~mask & 0xFF) == 0:  # low byte is zero or don't-care
-                decoded = word & ~0xFF & 0xFFFFFFFF
-                words.append(WordEncoding(
-                    original=word, decoded=decoded, bits=25,
-                    compressed=True, approximated=decoded != word))
+                kept = word & ~0xFF & 0xFFFFFFFF
+                decoded.append(kept)
+                codes.append(kept >> 8)  # the 24 bits that travel
+                if kept != word:
+                    approx_mask |= 1 << index
                 size_bits += 25
             else:
-                words.append(WordEncoding(original=word, decoded=word,
-                                          bits=33, compressed=False,
-                                          approximated=False))
+                decoded.append(word)
+                codes.append(None)
                 size_bits += 33
-        return self._finish_encode(words, block, size_bits)
+        return self._finish_encode(block, tuple(decoded), tuple(codes),
+                                   approx_mask, size_bits)
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        return DecodeResult(block=CacheBlock(
-            encoded.decoded_words(), dtype=encoded.dtype,
-            approximable=encoded.approximable))
+        return DecodeResult(CacheBlock(encoded.decoded, dtype=encoded.dtype,
+                                       approximable=encoded.approximable))
 
 
 class ByteTruncationScheme(CompressionScheme):

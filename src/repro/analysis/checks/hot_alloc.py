@@ -4,19 +4,25 @@ The per-cycle loops are the simulator's inner loop: every avoidable
 allocation there is paid millions of times per sweep and shows up
 directly in the perf-smoke numbers.  REPRO911 walks the per-cycle entry
 points of the SoA core (``SoaCore.cycle_all``) and the object router
-(``Router.cycle``) plus every ``self``-method they transitively call,
-and flags constructs that allocate on each execution:
+(``Router.cycle``), the per-block ``encode``/``decode`` of the five paper
+codecs and the dictionary decoder's block learning, plus every
+``self``-method they transitively call, and flags constructs that
+allocate on each execution:
 
 * list / dict / set literals and displays;
 * tuple literals with any non-constant element (constant tuples are
   folded by CPython);
 * list/set/dict/generator comprehensions;
-* ``lambda`` expressions (a fresh function object per evaluation).
+* ``lambda`` expressions (a fresh function object per evaluation);
+* construction of a project class (``Name(...)`` where ``Name`` is a
+  class defined under ``src/repro``) — the per-word objects the flat
+  codec datapath removed.
 
 Methods on the cold-path registry (setup, audit, debugging) are not
 descended into; a justified per-site escape is the usual
 ``# repro: allow[hot-alloc]`` comment — e.g. the arrival/ejection
-payload tuples, which *are* the data being communicated.
+payload tuples, which *are* the data being communicated, or a codec's
+per-block output tuples and protocol ``Notification`` objects.
 """
 
 from __future__ import annotations
@@ -24,17 +30,29 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.context import ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.flow.project import ProjectContext
+from repro.analysis.flow.project import ClassInfo, ProjectContext
 from repro.analysis.rules import ProjectRule, register
 
-#: Per-cycle entry points: (module, class, method).
+#: Hot entry points: (module, class, method).  The per-cycle loops, then
+#: the per-block codec calls of the five paper mechanisms (FP-VAXX
+#: inherits ``decode`` from FP-COMP; both dictionary codecs learn through
+#: ``DictionaryDecoder.observe_block``).
 HOT_ROOTS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.noc.core_soa", "SoaCore", "cycle_all"),
     ("repro.noc.core_soa", "SoaCore", "accept_arrivals"),
     ("repro.noc.core_soa", "SoaCore", "apply_credits"),
     ("repro.noc.router", "Router", "cycle"),
+    ("repro.compression.schemes", "BaselineNode", "encode"),
+    ("repro.compression.schemes", "BaselineNode", "decode"),
+    ("repro.compression.schemes", "FpCompNode", "encode"),
+    ("repro.compression.schemes", "FpCompNode", "decode"),
+    ("repro.core.fp_vaxx", "FpVaxxNode", "encode"),
+    ("repro.compression.dictionary", "DiCompNode", "encode"),
+    ("repro.compression.dictionary", "DiCompNode", "decode"),
+    ("repro.compression.dictionary", "DictionaryDecoder", "observe_block"),
+    ("repro.core.di_vaxx", "DiVaxxNode", "encode"),
+    ("repro.core.di_vaxx", "DiVaxxNode", "decode"),
 )
 
 #: Allow-registry: methods reachable from a hot root that are known
@@ -51,11 +69,12 @@ class HotPathAllocation(ProjectRule):
     name = "hot-alloc"
     code = "REPRO911"
     invariant = ("The per-cycle loops (SoaCore.cycle_all / Router.cycle "
-                 "and their callees) run millions of times per sweep; "
-                 "container literals, comprehensions and lambdas there "
+                 "and their callees) and the per-block codec calls run "
+                 "millions of times per sweep; container literals, "
+                 "comprehensions, lambdas and object constructions there "
                  "allocate on every execution and belong in __init__ "
                  "(preallocated scratch) or outside the loop.")
-    includes = ("repro.noc",)
+    includes = ("repro.noc", "repro.compression", "repro.core")
     example_bad = """
         def cycle(self, now):
             requests = {}                # fresh dict every cycle
@@ -70,22 +89,29 @@ class HotPathAllocation(ProjectRule):
     """
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:
+        seen: Set[int] = set()
         for module, class_name, method in HOT_ROOTS:
-            ctx = project.modules.get(module)
-            if ctx is None:
+            if module not in project.modules:
                 continue
-            for name, fn in self._hot_closure(project, class_name, method):
-                yield from self._check_function(ctx, class_name, name, fn)
+            for owner, name, fn in self._hot_closure(project, class_name,
+                                                     method):
+                if id(fn) in seen:
+                    continue  # shared by several roots: report it once
+                seen.add(id(fn))
+                yield from self._check_function(project, owner, name, fn)
 
     # ------------------------------------------------------------ closure
 
     def _hot_closure(self, project: ProjectContext, class_name: str,
-                     root: str) -> Iterator[Tuple[str, ast.FunctionDef]]:
+                     root: str
+                     ) -> Iterator[Tuple[ClassInfo, str, ast.FunctionDef]]:
         """The root method plus every ``self``-method it transitively
-        calls (resolved through the class's mro), cold paths excluded."""
-        methods: Dict[str, ast.FunctionDef] = {}
+        calls (resolved through the class's mro), cold paths excluded.
+        Each comes with the class that defines it."""
+        methods: Dict[str, Tuple[ClassInfo, ast.FunctionDef]] = {}
         for info in reversed(project.mro(class_name)):
-            methods.update(info.methods)
+            for name, fn in info.methods.items():
+                methods[name] = (info, fn)
         seen: Set[str] = set()
         queue: List[str] = [root]
         while queue:
@@ -93,10 +119,11 @@ class HotPathAllocation(ProjectRule):
             if name in seen or name in COLD_METHODS:
                 continue
             seen.add(name)
-            fn = methods.get(name)
-            if fn is None:
+            found = methods.get(name)
+            if found is None:
                 continue
-            yield name, fn
+            owner, fn = found
+            yield owner, name, fn
             for node in ast.walk(fn):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
@@ -107,19 +134,19 @@ class HotPathAllocation(ProjectRule):
 
     # ----------------------------------------------------------- checking
 
-    def _check_function(self, ctx: ModuleContext, class_name: str,
+    def _check_function(self, project: ProjectContext, owner: ClassInfo,
                         method: str, fn: ast.FunctionDef
                         ) -> Iterator[Finding]:
-        where = f"{class_name}.{method}"
+        where = f"{owner.name}.{method}"
         for node in self._walk_executed(fn):
-            what = self._allocation(node)
+            what = self._allocation(node, project)
             if what is None:
                 continue
             yield self.finding_at(
-                ctx, node,
-                f"{what} in per-cycle hot path {where}: preallocate in "
+                owner.ctx, node,
+                f"{what} in hot path {where}: preallocate in "
                 f"__init__ (scratch cleared with 'del lst[:]') or hoist "
-                f"out of the cycle loop")
+                f"out of the loop")
 
     @staticmethod
     def _walk_executed(fn: ast.FunctionDef) -> Iterator[ast.AST]:
@@ -147,7 +174,11 @@ class HotPathAllocation(ProjectRule):
                     stack.extend(v for v in value if isinstance(v, ast.AST))
 
     @staticmethod
-    def _allocation(node: ast.AST) -> Optional[str]:
+    def _allocation(node: ast.AST, project: ProjectContext
+                    ) -> Optional[str]:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in project.classes:
+            return f"object construction ({node.func.id})"
         if isinstance(node, ast.ListComp):
             return "list comprehension"
         if isinstance(node, ast.SetComp):

@@ -822,27 +822,34 @@ class AvclErrorBound(ProjectRule):
         """The certified mask is only meaningful if the matchers consume
         it: APCL ternary patterns must be built from ``info.mask`` (or
         exact on bypass) and match through its complement; DI-VAXX must
-        match via the ternary pattern and honour ``bypass``; FP-VAXX
+        match via the ternary pattern (``matches``, or its precomputed
+        ``care`` / ``care_value`` pair) and honour ``bypass``; FP-VAXX
         must pass ``info.mask`` to the comparator and honour ``bypass``."""
         apcl = project.modules.get("repro.core.apcl")
         if apcl is not None:
             yield from self._check_apcl(apcl)
-        for module, needs in (("repro.core.di_vaxx",
-                               (("matches", "approximate TCAM matching"),
-                                ("bypass", "float special-value bypass"))),
-                              ("repro.core.fp_vaxx",
-                               (("mask", "the certified don't-care mask"),
-                                ("bypass", "float special-value bypass")))):
+        # Per module: (alternative attribute sets, what they consume).
+        bypass: _Need = ((("bypass",),), "float special-value bypass")
+        consumers: Tuple[Tuple[str, Tuple[_Need, ...]], ...] = (
+            ("repro.core.di_vaxx",
+             (((("matches",), ("care", "care_value")),
+               "approximate TCAM matching"), bypass)),
+            ("repro.core.fp_vaxx",
+             (((("mask",),), "the certified don't-care mask"), bypass)))
+        for module, needs in consumers:
             ctx = project.modules.get(module)
             if ctx is None:
                 continue
             attrs = {n.attr for n in ast.walk(ctx.tree)
                      if isinstance(n, ast.Attribute)}
-            for attr, what in needs:
-                if attr not in attrs:
+            for options, what in needs:
+                if not any(attrs.issuperset(option) for option in options):
+                    names = " or ".join(
+                        "+".join(f".{attr}" for attr in option)
+                        for option in options)
                     yield self.finding_at(
                         ctx, ctx.tree,
-                        f"{module} never references .{attr}: the matcher "
+                        f"{module} never references {names}: the matcher "
                         f"does not consume {what}, so the certified bound "
                         f"does not transfer to it")
 
@@ -878,16 +885,26 @@ class AvclErrorBound(ProjectRule):
                 "TernaryPattern has no matches(): nothing applies the "
                 "certified don't-care mask")
             return
-        inverts_mask = any(
-            isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, ast.Invert)
-            and any(isinstance(inner, ast.Attribute)
-                    and inner.attr == "mask"
-                    for inner in ast.walk(node.operand))
-            for node in ast.walk(matches))
-        if not inverts_mask:
-            yield self.finding_at(
-                ctx, matches,
-                "TernaryPattern.matches does not compare through the "
-                "mask complement (~mask): don't-care bits are not "
-                "actually ignored")
+        for name in ("matches", "care", "care_value"):
+            fn = _find_def(pattern_cls.body, name)
+            if fn is not None and not _inverts_mask(fn):
+                yield self.finding_at(
+                    ctx, fn,
+                    f"TernaryPattern.{name} does not compare through the "
+                    f"mask complement (~mask): don't-care bits are not "
+                    f"actually ignored")
+
+
+#: A consumer requirement: any one of the attribute sets, and what it
+#: stands for.
+_Need = Tuple[Tuple[Tuple[str, ...], ...], str]
+
+
+def _inverts_mask(fn: ast.FunctionDef) -> bool:
+    """Whether ``fn`` applies the complement of a ``mask`` attribute."""
+    return any(
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.Invert)
+        and any(isinstance(inner, ast.Attribute) and inner.attr == "mask"
+                for inner in ast.walk(node.operand))
+        for node in ast.walk(fn))

@@ -17,7 +17,6 @@ from repro.compression.base import (
     Notification,
     NotificationKind,
     SchemeStats,
-    WordEncoding,
     packet_flits,
 )
 from repro.compression.adaptive import AdaptiveScheme
@@ -33,7 +32,6 @@ __all__ = [
     "Notification",
     "NotificationKind",
     "SchemeStats",
-    "WordEncoding",
     "packet_flits",
     "DiCompScheme",
     "BaselineScheme",

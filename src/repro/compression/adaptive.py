@@ -29,7 +29,6 @@ from repro.compression.base import (
     EncodedBlock,
     NodeCodec,
     Notification,
-    WordEncoding,
 )
 from repro.core.block import CacheBlock
 
@@ -84,11 +83,9 @@ class AdaptiveNode(NodeCodec):
     # ------------------------------------------------------------- codec
 
     def _raw_encode(self, block: CacheBlock) -> EncodedBlock:
-        words = [WordEncoding(original=w, decoded=w, bits=32,
-                              compressed=False, approximated=False)
-                 for w in block.words]
-        encoded = self._finish_encode(words, block,
-                                      size_bits=block.size_bits)
+        words = block.words
+        encoded = self._finish_encode(block, words, (None,) * len(words), 0,
+                                      block.size_bits)
         encoded.compression_cycles = 0
         encoded.decompression_cycles = 0
         return encoded
@@ -107,13 +104,13 @@ class AdaptiveNode(NodeCodec):
         return self._raw_encode(block)
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        if encoded.compression_cycles == 0 and all(
-                not w.compressed for w in encoded.words):
+        codes = encoded.codes
+        if (encoded.compression_cycles == 0
+                and codes.count(None) == len(codes)):
             # Raw block: bypass the inner decoder (and its learning — the
             # sender's codec was off, there is nothing to learn from).
-            return DecodeResult(block=CacheBlock(
-                encoded.decoded_words(), dtype=encoded.dtype,
-                approximable=encoded.approximable))
+            return DecodeResult(CacheBlock.trusted(
+                encoded.decoded, encoded.dtype, encoded.approximable))
         return self.inner.decode(encoded, src)
 
     def deliver_notification(self, notification: Notification) -> None:

@@ -19,7 +19,8 @@ The simulator interacts with codecs through three calls:
 
 Value semantics: the words a decoder will recover are fully determined at
 encode time (the encoder knows which reference pattern it matched), so
-``EncodedBlock`` carries them.  The dictionary consistency protocol then only
+``EncodedBlock`` carries them as a flat ``decoded`` tuple beside the
+``original`` one.  The dictionary consistency protocol then only
 gates *when* compression is permitted — which is its performance-relevant
 role — while data correctness is maintained by construction.
 """
@@ -29,10 +30,10 @@ from __future__ import annotations
 import abc
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-from repro.core.block import CacheBlock, DataType, relative_word_error
+from repro.core.block import CacheBlock, DataType
 from repro.core.quality import QualityTracker
 
 
@@ -61,34 +62,26 @@ class Notification:
     dtype: DataType = DataType.INT
 
 
-@dataclass(frozen=True)
-class WordEncoding:
-    """Outcome for one 32-bit word inside an encoded block.
+@dataclass(slots=True)
+class EncodedBlock:
+    """Network representation (NR) of one cache block, as flat per-word
+    tuples (DESIGN.md §19).
 
-    ``bits`` counts every bit the word contributes to the network
-    representation (prefix/flag + index/data).  ``decoded`` is the pattern
-    the destination will recover; for exact compression and uncompressed
-    words it equals ``original``.
+    ``original`` is the source block's word tuple, shared by reference.
+    ``decoded[i]`` is the pattern the destination recovers for word ``i``;
+    ``codes[i]`` is what the NR carries in its place (an FPC prefix, a PMT
+    index, a BD delta), or ``None`` when the word travels verbatim.  Bit
+    ``i`` of ``approx_mask`` is set when the *encoder* approximated word
+    ``i``; it is declared by the encoder and never derived from
+    ``decoded != original``, so NoCSan's error-bound oracle can catch a
+    value that changed without being declared.  Only encoded words (code
+    not ``None``) may be marked approximated.
     """
 
-    original: int
-    decoded: int
-    bits: int
-    compressed: bool
-    approximated: bool
-    code: Optional[int] = None
-
-    @property
-    def exact(self) -> bool:
-        """True when the destination recovers the word bit-exactly."""
-        return self.decoded == self.original
-
-
-@dataclass
-class EncodedBlock:
-    """Network representation (NR) of one cache block."""
-
-    words: List[WordEncoding]
+    original: Tuple[int, ...]
+    decoded: Tuple[int, ...]
+    codes: Tuple[Optional[int], ...]
+    approx_mask: int
     dtype: DataType
     approximable: bool
     size_bits: int
@@ -101,7 +94,7 @@ class EncodedBlock:
     @property
     def original_bits(self) -> int:
         """Uncompressed size of the block, in bits."""
-        return 32 * len(self.words)
+        return 32 * len(self.original)
 
     @property
     def size_bytes(self) -> int:
@@ -113,17 +106,13 @@ class EncodedBlock:
         """Uncompressed bits over NR bits."""
         return self.original_bits / max(self.size_bits, 1)
 
-    def decoded_words(self) -> Tuple[int, ...]:
-        """Word patterns the destination recovers."""
-        return tuple(w.decoded for w in self.words)
 
-
-@dataclass
+@dataclass(slots=True)
 class DecodeResult:
     """Decoder output: the recovered block and protocol notifications."""
 
     block: CacheBlock
-    notifications: List[Notification] = field(default_factory=list)
+    notifications: Sequence[Notification] = ()
 
 
 @dataclass
@@ -172,7 +161,8 @@ class NodeCodec(abc.ABC):
 
     # ------------------------------------------------------------ helpers
 
-    def _finish_encode(self, words: List[WordEncoding], block: CacheBlock,
+    def _finish_encode(self, block: CacheBlock, decoded: Tuple[int, ...],
+                       codes: Tuple[Optional[int], ...], approx_mask: int,
                        size_bits: int) -> EncodedBlock:
         """Record statistics and assemble the encoded block.
 
@@ -181,31 +171,27 @@ class NodeCodec(abc.ABC):
         al. [17] at block granularity): compression never *expands* a
         packet, it only ever adds the flag bit.
         """
+        original = block.words
         flag = self.scheme.block_flag_bits
         size_bits += flag
-        raw_bits = block.size_bits + flag
+        raw_bits = 32 * len(original) + flag
         if size_bits > raw_bits:
-            words = [WordEncoding(original=w.original, decoded=w.original,
-                                  bits=32, compressed=False,
-                                  approximated=False)
-                     for w in words]
+            decoded = original
+            codes = (None,) * len(original)
+            approx_mask = 0
             size_bits = raw_bits
         stats = self.scheme.stats
         stats.blocks_encoded += 1
-        stats.input_bits += 32 * len(words)
+        stats.input_bits += 32 * len(original)
         stats.output_bits += size_bits
         quality = self.scheme.quality
         quality.record_block(block.approximable)
-        for w in words:
-            err = 0.0
-            if not w.exact:
-                err = relative_word_error(w.original, w.decoded, block.dtype)
-            quality.record_word(encoded=w.compressed,
-                                approximated=w.approximated,
-                                relative_error=err)
-        return EncodedBlock(words=words, dtype=block.dtype,
-                            approximable=block.approximable,
-                            size_bits=size_bits)
+        quality.record_block_words(
+            original, decoded, len(codes) - codes.count(None),
+            approx_mask.bit_count(), block.dtype)
+        return EncodedBlock(  # repro: allow[hot-alloc]
+            original, decoded, codes, approx_mask, block.dtype,
+            block.approximable, size_bits)
 
 
 class CompressionScheme(abc.ABC):

@@ -27,7 +27,6 @@ from repro.compression.base import (
     DecodeResult,
     EncodedBlock,
     NodeCodec,
-    WordEncoding,
 )
 from repro.core.avcl import Avcl
 from repro.core.block import CacheBlock
@@ -52,41 +51,51 @@ def _clamp_to_width(value: int, base: int, width: int) -> int:
     return min(max(value, low), high)
 
 
+#: A candidate BD encoding: ``(size_bits, decoded, codes, approx_mask)``.
+BdEncoding = Tuple[int, Tuple[int, ...], Tuple[Optional[int], ...], int]
+
+
+def _bd_encoding(values: List[int], width: int,
+                 approx_mask: int) -> BdEncoding:
+    """Assemble a BD encoding whose words decode to the signed ``values``.
+
+    Each word's code is its delta from the base (the first word, delta 0);
+    every word counts as compressed, the base included.
+    """
+    base = values[0]
+    decoded = tuple(to_unsigned(v) for v in values)
+    codes = tuple(v - base for v in values)
+    size = SELECTOR_BITS + BASE_BITS + width * (len(values) - 1)
+    return size, decoded, codes, approx_mask
+
+
 class BdCompNode(NodeCodec):
     """Exact base-delta codec: base = first word, fixed delta width."""
 
-    def _encode_exact(self, block: CacheBlock
-                      ) -> Optional[Tuple[List[WordEncoding], int]]:
+    def _encode_exact(self, block: CacheBlock) -> Optional[BdEncoding]:
         values = block.as_ints()
         base = values[0]
         for width in DELTA_WIDTHS:
             if all(_fits(v - base, width) for v in values[1:]):
-                words = [WordEncoding(original=block.words[0],
-                                      decoded=block.words[0],
-                                      bits=BASE_BITS, compressed=True,
-                                      approximated=False)]
-                for pattern, value in zip(block.words[1:], values[1:]):
-                    words.append(WordEncoding(
-                        original=pattern, decoded=pattern, bits=width,
-                        compressed=True, approximated=False))
-                size = SELECTOR_BITS + BASE_BITS + width * (len(values) - 1)
-                return words, size
+                return _bd_encoding(values, width, 0)
         return None
 
+    def _finish_bd(self, block: CacheBlock,
+                   best: Optional[BdEncoding]) -> EncodedBlock:
+        """Encode with ``best``, or ship the block raw when it is None."""
+        if best is None:
+            words = block.words
+            return self._finish_encode(block, words, (None,) * len(words),
+                                       0, 32 * len(words))
+        size, decoded, codes, approx_mask = best
+        return self._finish_encode(block, decoded, codes, approx_mask, size)
+
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        encoded = self._encode_exact(block)
-        if encoded is None:
-            words = [WordEncoding(original=w, decoded=w, bits=32,
-                                  compressed=False, approximated=False)
-                     for w in block.words]
-            return self._finish_encode(words, block, 32 * len(block.words))
-        words, size = encoded
-        return self._finish_encode(words, block, size)
+        return self._finish_bd(block, self._encode_exact(block))
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        return DecodeResult(block=CacheBlock(
-            encoded.decoded_words(), dtype=encoded.dtype,
-            approximable=encoded.approximable))
+        return DecodeResult(CacheBlock.trusted(
+            encoded.decoded, encoded.dtype, encoded.approximable))
 
 
 class BdCompScheme(CompressionScheme):
@@ -109,13 +118,16 @@ class BdVaxxNode(BdCompNode):
         self.budget = scheme.make_budget()
 
     def _approximate_block(self, block: CacheBlock
-                           ) -> Optional[Tuple[List[WordEncoding], int]]:
+                           ) -> Optional[BdEncoding]:
         values = block.as_ints()
         base = values[0]
         for width in DELTA_WIDTHS:
             decoded: List[int] = [values[0]]
+            approx_mask = 0
+            bit = 1  # this word's bit in approx_mask
             ok = True
             for pattern, value in zip(block.words[1:], values[1:]):
+                bit <<= 1
                 if _fits(value - base, width):
                     decoded.append(value)
                     continue
@@ -133,19 +145,10 @@ class BdVaxxNode(BdCompNode):
                     ok = False
                     break
                 decoded.append(candidate)
-            if not ok:
-                continue
-            words = [WordEncoding(original=block.words[0],
-                                  decoded=block.words[0], bits=BASE_BITS,
-                                  compressed=True, approximated=False)]
-            for pattern, value in zip(block.words[1:], decoded[1:]):
-                decoded_pattern = to_unsigned(value)
-                words.append(WordEncoding(
-                    original=pattern, decoded=decoded_pattern, bits=width,
-                    compressed=True,
-                    approximated=decoded_pattern != pattern))
-            size = SELECTOR_BITS + BASE_BITS + width * (len(values) - 1)
-            return words, size
+                if cand_pattern != pattern:
+                    approx_mask |= bit
+            if ok:
+                return _bd_encoding(decoded, width, approx_mask)
         return None
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
@@ -155,16 +158,10 @@ class BdVaxxNode(BdCompNode):
         approx = self._approximate_block(block)
         best = None
         if exact is not None and approx is not None:
-            best = exact if exact[1] <= approx[1] else approx
+            best = exact if exact[0] <= approx[0] else approx
         else:
             best = exact or approx
-        if best is None:
-            words = [WordEncoding(original=w, decoded=w, bits=32,
-                                  compressed=False, approximated=False)
-                     for w in block.words]
-            return self._finish_encode(words, block, 32 * len(block.words))
-        words, size = best
-        return self._finish_encode(words, block, size)
+        return self._finish_bd(block, best)
 
 
 class BdVaxxScheme(BdCompScheme):

@@ -35,7 +35,6 @@ from repro.compression.base import (
     NodeCodec,
     Notification,
     NotificationKind,
-    WordEncoding,
 )
 from repro.core.block import CacheBlock, DataType
 from repro.util.bitops import WORD_MASK
@@ -96,10 +95,17 @@ class PatternDetector:
         if count >= self._threshold:
             self._counts.pop(pattern, None)
             return True
-        if pattern not in self._counts and len(self._counts) >= self._capacity:
-            victim = min(self._counts, key=self._counts.get)
-            del self._counts[victim]
-        self._counts[pattern] = count
+        counts = self._counts
+        if pattern not in counts and len(counts) >= self._capacity:
+            # The victim is the first (oldest) candidate holding the
+            # lowest count: exactly ``min(counts, key=counts.get)``, with
+            # the minimum found in C instead of one key call per entry.
+            lowest = min(counts.values())
+            for victim, seen in counts.items():
+                if seen == lowest:
+                    break
+            del counts[victim]
+        counts[pattern] = count
         return False
 
 
@@ -107,21 +113,18 @@ class DictionaryDecoder:
     """The decoder PMT shared by DI-COMP and DI-VAXX.
 
     Holds exact patterns in a CAM-like table; produces update / invalidate
-    notifications for the encoders it learns patterns from.
+    notifications for the encoders it learns patterns from.  The CAM
+    search is a dict from pattern to slot, kept in step with ``entries``
+    (a pattern occupies at most one slot).
     """
 
     def __init__(self, node_id: int, n_entries: int = DEFAULT_PMT_ENTRIES,
                  detect_threshold: int = DEFAULT_DETECT_THRESHOLD):
         self.node_id = node_id
         self.entries: List[Optional[DecoderEntry]] = [None] * n_entries
+        self._slot_of: Dict[int, int] = {}
         self._detector = PatternDetector(threshold=detect_threshold)
         self._observations = 0
-
-    def _find(self, pattern: int) -> Optional[int]:
-        for idx, entry in enumerate(self.entries):
-            if entry is not None and entry.pattern == pattern:
-                return idx
-        return None
 
     def _victim(self) -> Optional[int]:
         """Replaceable slot: empty, or LFU whose decayed frequency is cold.
@@ -141,10 +144,7 @@ class DictionaryDecoder:
         return None
 
     def _decay(self) -> None:
-        """Periodically halve frequencies so stale entries become cold."""
-        self._observations += 1
-        if self._observations % DECAY_PERIOD:
-            return
+        """Halve every frequency so stale entries become cold."""
         for entry in self.entries:
             if entry is not None:
                 entry.freq >>= 1
@@ -162,37 +162,61 @@ class DictionaryDecoder:
 
         Returns the protocol notifications the observation triggered.
         """
-        pattern &= WORD_MASK
-        self._decay()
         notifications: List[Notification] = []
-        existing = self._find(pattern)
+        self._observe(pattern & WORD_MASK, src, dtype, notifications)
+        return notifications
+
+    def observe_block(self, encoded: EncodedBlock,
+                      src: int) -> List[Notification]:
+        """Decoder-side learning over one encoded block from ``src``:
+        compressed words refresh their entry's frequency, verbatim words
+        run detection.  Returns the notifications the block triggered."""
+        notifications: List[Notification] = []  # repro: allow[hot-alloc]
+        dtype = encoded.dtype
+        for word, code in zip(encoded.decoded, encoded.codes):
+            if code is None:
+                self._observe(word, src, dtype, notifications)
+            else:
+                self.note_compressed_use(code)
+        return notifications
+
+    def _observe(self, pattern: int, src: int, dtype: DataType,
+                 notifications: List[Notification]) -> None:
+        """Detection on one verbatim 32-bit word; appends the protocol
+        notifications it triggers to ``notifications``."""
+        self._observations += 1
+        if not self._observations % DECAY_PERIOD:
+            self._decay()
+        existing = self._slot_of.get(pattern)
         if existing is not None:
             entry = self.entries[existing]
             if entry.freq < FREQ_SATURATION:
                 entry.freq += 1
             if src not in entry.valid_for:
                 entry.valid_for.add(src)
-                notifications.append(Notification(
+                notifications.append(Notification(  # repro: allow[hot-alloc]
                     kind=NotificationKind.UPDATE, src=self.node_id, dst=src,
                     pattern=pattern, index=existing, dtype=entry.dtype))
-            return notifications
+            return
         if not self._detector.observe(pattern):
-            return notifications
+            return
         victim_idx = self._victim()
         if victim_idx is None:
-            return notifications  # every entry is still hot: admission denied
+            return  # every entry is still hot: admission denied
         victim = self.entries[victim_idx]
         if victim is not None:
+            del self._slot_of[victim.pattern]
             for encoder in sorted(victim.valid_for):
-                notifications.append(Notification(
+                notifications.append(Notification(  # repro: allow[hot-alloc]
                     kind=NotificationKind.INVALIDATE, src=self.node_id,
                     dst=encoder, pattern=victim.pattern, index=victim_idx))
-        self.entries[victim_idx] = DecoderEntry(pattern=pattern, dtype=dtype,
-                                                valid_for={src})
-        notifications.append(Notification(
+        valid_for = {src}  # repro: allow[hot-alloc]
+        self.entries[victim_idx] = DecoderEntry(  # repro: allow[hot-alloc]
+            pattern=pattern, dtype=dtype, valid_for=valid_for)
+        self._slot_of[pattern] = victim_idx
+        notifications.append(Notification(  # repro: allow[hot-alloc]
             kind=NotificationKind.UPDATE, src=self.node_id, dst=src,
             pattern=pattern, index=victim_idx, dtype=dtype))
-        return notifications
 
 
 @dataclass
@@ -205,12 +229,17 @@ class EncoderEntry:
 
 
 class DiCompNode(NodeCodec):
-    """Per-node DI-COMP codec: exact-match encoder PMT + decoder PMT."""
+    """Per-node DI-COMP codec: exact-match encoder PMT + decoder PMT.
+
+    The encoder CAM search is a dict from pattern to entry, kept in step
+    with ``encoder_entries`` (a pattern occupies at most one row).
+    """
 
     def __init__(self, scheme: "DiCompScheme", node_id: int):
         super().__init__(scheme, node_id)
         self.encoder_entries: List[Optional[EncoderEntry]] = (
             [None] * scheme.pmt_entries)
+        self._entry_of: Dict[int, EncoderEntry] = {}
         self.decoder = DictionaryDecoder(
             node_id, n_entries=scheme.pmt_entries,
             detect_threshold=scheme.detect_threshold)
@@ -220,46 +249,33 @@ class DiCompNode(NodeCodec):
 
     def _lookup(self, word: int, dst: int) -> Optional[int]:
         """Encoded index for ``word`` toward ``dst``, if compressible."""
-        for entry in self.encoder_entries:
-            if entry is not None and entry.pattern == word:
-                if entry.freq < FREQ_SATURATION:
-                    entry.freq += 1
-                return entry.index_by_dst.get(dst)
-        return None
+        entry = self._entry_of.get(word)
+        if entry is None:
+            return None
+        if entry.freq < FREQ_SATURATION:
+            entry.freq += 1
+        return entry.index_by_dst.get(dst)
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        words: List[WordEncoding] = []
-        size_bits = 0
+        codes: List[Optional[int]] = []  # repro: allow[hot-alloc]
         for word in block.words:
-            index = self._lookup(word, dst)
-            if index is not None:
-                bits = WORD_FLAG_BITS + self._index_bits
-                words.append(WordEncoding(original=word, decoded=word,
-                                          bits=bits, compressed=True,
-                                          approximated=False, code=index))
-            else:
-                bits = WORD_FLAG_BITS + 32
-                words.append(WordEncoding(original=word, decoded=word,
-                                          bits=bits, compressed=False,
-                                          approximated=False))
-            size_bits += bits
-        return self._finish_encode(words, block, size_bits)
+            codes.append(self._lookup(word, dst))
+        n_words = len(codes)
+        verbatim = codes.count(None)
+        size_bits = (WORD_FLAG_BITS * n_words + 32 * verbatim
+                     + self._index_bits * (n_words - verbatim))
+        # Exact compression recovers every word verbatim.
+        return self._finish_encode(block, block.words, tuple(codes), 0,
+                                   size_bits)
 
     # ------------------------------------------------------------- decode
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        notifications: List[Notification] = []
-        for word in encoded.words:
-            if word.compressed:
-                self.decoder.note_compressed_use(word.code)
-            else:
-                notifications.extend(
-                    self.decoder.observe_uncompressed(word.decoded, src,
-                                                      encoded.dtype))
+        notifications = self.decoder.observe_block(encoded, src)
         self.scheme.stats.notifications += len(notifications)
-        block = CacheBlock(encoded.decoded_words(), dtype=encoded.dtype,
-                           approximable=encoded.approximable)
-        return DecodeResult(block=block, notifications=notifications)
+        return DecodeResult(CacheBlock.trusted(  # repro: allow[hot-alloc]
+            encoded.decoded, encoded.dtype, encoded.approximable),
+            notifications)
 
     # ------------------------------------------------------ notifications
 
@@ -279,14 +295,19 @@ class DiCompNode(NodeCodec):
                 f"node {self.node_id}")
         decoder_node = notification.src
         if notification.kind is NotificationKind.UPDATE:
-            for entry in self.encoder_entries:
-                if entry is not None and entry.pattern == notification.pattern:
-                    entry.index_by_dst[decoder_node] = notification.index
-                    return
+            entry = self._entry_of.get(notification.pattern)
+            if entry is not None:
+                entry.index_by_dst[decoder_node] = notification.index
+                return
             slot = self._encoder_victim()
-            self.encoder_entries[slot] = EncoderEntry(
+            victim = self.encoder_entries[slot]
+            if victim is not None:
+                del self._entry_of[victim.pattern]
+            entry = EncoderEntry(
                 pattern=notification.pattern,
                 index_by_dst={decoder_node: notification.index})
+            self.encoder_entries[slot] = entry
+            self._entry_of[entry.pattern] = entry
             return
         # INVALIDATE: drop the per-destination slot that maps to the index.
         for entry in self.encoder_entries:

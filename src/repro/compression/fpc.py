@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import abc
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.util.bitops import WORD_MASK
 
@@ -55,6 +55,10 @@ class PatternClass(abc.ABC):
         self.code = code
         self.name = name
         self.data_bits = data_bits
+        #: What :class:`~repro.compression.base.EncodedBlock` records in
+        #: the word's ``codes`` slot: the prefix, or None for a verbatim
+        #: word.
+        self.nr_code: Optional[int] = code
 
     @abc.abstractmethod
     def exact_match(self, word: int) -> bool:
@@ -190,6 +194,7 @@ class Uncompressed(PatternClass):
 
     def __init__(self):
         super().__init__(0b111, "uncompressed", 32)
+        self.nr_code = None
 
     def exact_match(self, word: int) -> bool:
         return True
@@ -209,6 +214,35 @@ COMPRESSIBLE_CLASSES: Tuple[PatternClass, ...] = (
 )
 
 UNCOMPRESSED_CLASS = Uncompressed()
+
+
+#: NR bits per compressed word, indexed by its ``nr_code`` (the table's
+#: prefixes are 0..5, in priority order): prefix + data bits.
+_CODE_BITS = tuple(PREFIX_BITS + cls.data_bits
+                   for cls in COMPRESSIBLE_CLASSES)
+#: NR bits of a verbatim word: the uncompressed prefix + the word.
+_VERBATIM_BITS = PREFIX_BITS + UNCOMPRESSED_CLASS.data_bits
+
+
+def block_bits(codes: Sequence[Optional[int]]) -> int:
+    """NR size of an FPC-encoded block from its per-word ``nr_code`` values.
+
+    Consecutive zero-class words merge into runs of up to
+    :data:`MAX_ZERO_RUN`: the first word of a run pays prefix + 3-bit run
+    length, subsequent words ride free.
+    """
+    size = 0
+    run_remaining = 0
+    for code in codes:
+        if code == 0b000:
+            if run_remaining:
+                run_remaining -= 1
+                continue
+            run_remaining = MAX_ZERO_RUN - 1
+        else:
+            run_remaining = 0
+        size += _VERBATIM_BITS if code is None else _CODE_BITS[code]
+    return size
 
 
 #: Entries kept in each shared match cache.  Pattern matching is a pure

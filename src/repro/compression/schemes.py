@@ -7,7 +7,7 @@ the comparison mechanisms every figure plots against.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional
 
 from repro.compression import fpc
 from repro.compression.base import (
@@ -15,7 +15,6 @@ from repro.compression.base import (
     DecodeResult,
     EncodedBlock,
     NodeCodec,
-    WordEncoding,
 )
 from repro.core.block import CacheBlock
 
@@ -24,15 +23,13 @@ class BaselineNode(NodeCodec):
     """Identity codec: every word travels verbatim."""
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        words = [WordEncoding(original=w, decoded=w, bits=32,
-                              compressed=False, approximated=False)
-                 for w in block.words]
-        return self._finish_encode(words, block, size_bits=32 * len(words))
+        words = block.words
+        return self._finish_encode(block, words, (None,) * len(words), 0,
+                                   32 * len(words))
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        return DecodeResult(block=CacheBlock(encoded.decoded_words(),
-                                             dtype=encoded.dtype,
-                                             approximable=encoded.approximable))
+        return DecodeResult(CacheBlock.trusted(  # repro: allow[hot-alloc]
+            encoded.decoded, encoded.dtype, encoded.approximable))
 
 
 class BaselineScheme(CompressionScheme):
@@ -50,55 +47,22 @@ class BaselineScheme(CompressionScheme):
         return BaselineNode(self, node_id)
 
 
-def assemble_fpc_words(
-        matches: Sequence[Tuple[int, fpc.PatternClass, int, bool]],
-) -> Tuple[List[WordEncoding], int]:
-    """Turn per-word FPC matches into word encodings with zero-run merging.
-
-    ``matches`` holds ``(original, pattern_class, candidate, approximated)``
-    per word.  Consecutive zero-class words merge into runs of up to
-    :data:`fpc.MAX_ZERO_RUN`: the first word of a run pays prefix + 3-bit run
-    length, subsequent words ride free.
-    """
-    words: List[WordEncoding] = []
-    size_bits = 0
-    run_remaining = 0
-    for original, cls, candidate, approximated in matches:
-        if cls.code == 0b000:
-            if run_remaining > 0:
-                bits = 0
-                run_remaining -= 1
-            else:
-                bits = fpc.PREFIX_BITS + cls.data_bits
-                run_remaining = fpc.MAX_ZERO_RUN - 1
-        else:
-            run_remaining = 0
-            bits = fpc.PREFIX_BITS + cls.data_bits
-        compressed = cls.code != fpc.UNCOMPRESSED_CLASS.code
-        words.append(WordEncoding(original=original, decoded=candidate,
-                                  bits=bits, compressed=compressed,
-                                  approximated=approximated and compressed
-                                  and candidate != original,
-                                  code=cls.code))
-        size_bits += bits
-    return words, size_bits
-
-
 class FpCompNode(NodeCodec):
     """Exact frequent-pattern compression (Das et al. [12])."""
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        matches = []
+        # Exact matches recover every word verbatim, so ``decoded`` is the
+        # original tuple itself.
+        codes: List[Optional[int]] = []  # repro: allow[hot-alloc]
+        match_exact = fpc.match_exact
         for word in block.words:
-            cls, candidate = fpc.match_exact(word)
-            matches.append((word, cls, candidate, False))
-        words, size_bits = assemble_fpc_words(matches)
-        return self._finish_encode(words, block, size_bits)
+            codes.append(match_exact(word)[0].nr_code)
+        return self._finish_encode(block, block.words, tuple(codes), 0,
+                                   fpc.block_bits(codes))
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        return DecodeResult(block=CacheBlock(encoded.decoded_words(),
-                                             dtype=encoded.dtype,
-                                             approximable=encoded.approximable))
+        return DecodeResult(CacheBlock.trusted(  # repro: allow[hot-alloc]
+            encoded.decoded, encoded.dtype, encoded.approximable))
 
 
 class FpCompScheme(CompressionScheme):

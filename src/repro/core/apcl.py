@@ -31,6 +31,11 @@ class TernaryPattern:
         object.__setattr__(self, "mask", self.mask & WORD_MASK)
 
     @property
+    def care(self) -> int:
+        """The care-bit mask: the complement of the don't-care mask."""
+        return ~self.mask & WORD_MASK
+
+    @property
     def care_value(self) -> int:
         """The stored value restricted to its care bits."""
         return self.value & ~self.mask & WORD_MASK

@@ -58,6 +58,22 @@ class CacheBlock:
             raise ValueError("a cache block must contain at least one word")
 
     @classmethod
+    def trusted(cls, words: Tuple[int, ...], dtype: DataType,
+                approximable: bool) -> "CacheBlock":
+        """Build a block from words already known to be 32-bit patterns.
+
+        Skips the :meth:`__post_init__` masking and emptiness checks: the
+        codec decoders (whose output words are the encoder's 32-bit
+        patterns) and trace replay (whose words were validated when the
+        record was parsed or recorded) call this once per block.
+        """
+        block = object.__new__(cls)
+        object.__setattr__(block, "words", words)
+        object.__setattr__(block, "dtype", dtype)
+        object.__setattr__(block, "approximable", approximable)
+        return block
+
+    @classmethod
     def from_ints(cls, values: Iterable[int],
                   approximable: bool = False) -> "CacheBlock":
         """Build an integer block from signed Python ints."""

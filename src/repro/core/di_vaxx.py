@@ -19,7 +19,7 @@ the original pattern from the index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.compression.base import (
     DecodeResult,
@@ -27,7 +27,6 @@ from repro.compression.base import (
     NodeCodec,
     Notification,
     NotificationKind,
-    WordEncoding,
 )
 from repro.compression.dictionary import (
     DEFAULT_DETECT_THRESHOLD,
@@ -54,12 +53,23 @@ class DestSlot:
 
 @dataclass
 class VaxxEncoderEntry:
-    """One TCAM row of the DI-VAXX encoder PMT (Figure 8)."""
+    """One TCAM row of the DI-VAXX encoder PMT (Figure 8).
+
+    ``care`` / ``care_value`` are the ternary pattern's care-bit mask and
+    the stored value restricted to it, precomputed so a TCAM compare is
+    one AND and one equality.
+    """
 
     ternary: TernaryPattern
     dtype: DataType
     freq: int = 1
     slots: Dict[int, DestSlot] = field(default_factory=dict)
+    care: int = field(init=False)
+    care_value: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.care = self.ternary.care
+        self.care_value = self.ternary.care_value
 
 
 class DiVaxxNode(NodeCodec):
@@ -80,17 +90,18 @@ class DiVaxxNode(NodeCodec):
     # ------------------------------------------------------------- encode
 
     def _tcam_search(self, word: int, dst: int, dtype: DataType,
-                     require_exact: bool) -> Optional[Tuple[int, int]]:
-        """Search the TCAM; return ``(index, recovered_pattern)`` on a hit.
+                     require_exact: bool) -> Optional[DestSlot]:
+        """Search the TCAM; return the hit entry's slot for ``dst``.
 
-        ``require_exact`` implements the non-approximable path: the TCAM hit
-        only counts when the stored original pattern for this destination
-        equals the word bit-for-bit.
+        The first (lowest-index) entry that matches and holds a slot for
+        ``dst`` wins, and its frequency counter is bumped.
+        ``require_exact`` implements the non-approximable path: the TCAM
+        hit only counts when the stored original pattern for this
+        destination equals the word bit-for-bit.
         """
         for entry in self.encoder_entries:
-            if entry is None or entry.dtype is not dtype:
-                continue
-            if not entry.ternary.matches(word):
+            if (entry is None or word & entry.care != entry.care_value
+                    or entry.dtype is not dtype):
                 continue
             slot = entry.slots.get(dst)
             if slot is None:
@@ -99,57 +110,55 @@ class DiVaxxNode(NodeCodec):
                 continue
             if entry.freq < FREQ_SATURATION:
                 entry.freq += 1
-            return slot.index, slot.original
+            return slot
         return None
 
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
-        words: List[WordEncoding] = []
-        size_bits = 0
+        dtype = block.dtype
+        budget = self.budget
+        search = self._tcam_search
+        check_float = block.approximable and dtype is DataType.FLOAT
+        decoded: List[int] = []  # repro: allow[hot-alloc]
+        codes: List[Optional[int]] = []  # repro: allow[hot-alloc]
+        approx_mask = 0
+        bit = 1  # this word's bit in approx_mask
         for word in block.words:
             approx_ok = block.approximable
-            if approx_ok and block.dtype is DataType.FLOAT:
+            if check_float:
                 # Float special values bypass approximation (Figure 4).
                 approx_ok = not self.avcl.evaluate_float(word).bypass
-            hit = self._tcam_search(word, dst, block.dtype,
-                                    require_exact=not approx_ok)
-            if hit is not None and (not approx_ok or hit[1] == word):
-                self.budget.record_exact()
+            hit = search(word, dst, dtype, not approx_ok)
+            if hit is not None and (not approx_ok or hit.original == word):
+                budget.record_exact()
             elif (hit is not None
-                    and not self.budget.admits(word, hit[1], block.dtype)):
+                    and not budget.admits(word, hit.original, dtype)):
                 # Error policy vetoed the approximate hit; retry exactly.
-                hit = self._tcam_search(word, dst, block.dtype,
-                                        require_exact=True)
+                hit = search(word, dst, dtype, True)
             if hit is None:
-                self.budget.record_exact()
-            if hit is not None:
-                index, recovered = hit
-                bits = WORD_FLAG_BITS + self._index_bits
-                words.append(WordEncoding(
-                    original=word, decoded=recovered, bits=bits,
-                    compressed=True, approximated=recovered != word,
-                    code=index))
+                budget.record_exact()
+                decoded.append(word)
+                codes.append(None)
             else:
-                bits = WORD_FLAG_BITS + 32
-                words.append(WordEncoding(original=word, decoded=word,
-                                          bits=bits, compressed=False,
-                                          approximated=False))
-            size_bits += bits
-        return self._finish_encode(words, block, size_bits)
+                decoded.append(hit.original)
+                codes.append(hit.index)
+                if hit.original != word:
+                    approx_mask |= bit
+            bit <<= 1
+        n_words = len(codes)
+        verbatim = codes.count(None)
+        size_bits = (WORD_FLAG_BITS * n_words + 32 * verbatim
+                     + self._index_bits * (n_words - verbatim))
+        return self._finish_encode(block, tuple(decoded), tuple(codes),
+                                   approx_mask, size_bits)
 
     # ------------------------------------------------------------- decode
 
     def decode(self, encoded: EncodedBlock, src: int) -> DecodeResult:
-        notifications: List[Notification] = []
-        for word in encoded.words:
-            if word.compressed:
-                self.decoder.note_compressed_use(word.code)
-            else:
-                notifications.extend(self.decoder.observe_uncompressed(
-                    word.decoded, src, encoded.dtype))
+        notifications = self.decoder.observe_block(encoded, src)
         self.scheme.stats.notifications += len(notifications)
-        block = CacheBlock(encoded.decoded_words(), dtype=encoded.dtype,
-                           approximable=encoded.approximable)
-        return DecodeResult(block=block, notifications=notifications)
+        return DecodeResult(CacheBlock.trusted(  # repro: allow[hot-alloc]
+            encoded.decoded, encoded.dtype, encoded.approximable),
+            notifications)
 
     # ------------------------------------------------------ notifications
 

@@ -13,15 +13,11 @@ fall back to exact FP-COMP matching.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.compression import fpc
 from repro.compression.base import EncodedBlock, NodeCodec
-from repro.compression.schemes import (
-    FpCompNode,
-    FpCompScheme,
-    assemble_fpc_words,
-)
+from repro.compression.schemes import FpCompNode, FpCompScheme
 from repro.core.avcl import Avcl
 from repro.core.block import CacheBlock
 from repro.core.error_control import ErrorBudget
@@ -38,24 +34,33 @@ class FpVaxxNode(FpCompNode):
     def encode(self, block: CacheBlock, dst: int) -> EncodedBlock:
         if not block.approximable:
             return super().encode(block, dst)
-        matches = []
+        dtype = block.dtype
+        evaluate = self.avcl.evaluate
+        budget = self.budget
+        decoded: List[int] = []  # repro: allow[hot-alloc]
+        codes: List[Optional[int]] = []  # repro: allow[hot-alloc]
+        approx_mask = 0
+        bit = 1  # this word's bit in approx_mask
         for word in block.words:
-            info = self.avcl.evaluate(word, block.dtype)
+            info = evaluate(word, dtype)
             if info.bypass or info.mask == 0:
                 cls, candidate = fpc.match_exact(word)
-                matches.append((word, cls, candidate, False))
-                self.budget.record_exact()
-                continue
-            cls, candidate = fpc.match_approx(word, info.mask)
-            if candidate == word:
-                self.budget.record_exact()
-            elif not self.budget.admits(word, candidate, block.dtype):
-                cls, candidate = fpc.match_exact(word)
-                matches.append((word, cls, candidate, False))
-                continue
-            matches.append((word, cls, candidate, True))
-        words, size_bits = assemble_fpc_words(matches)
-        return self._finish_encode(words, block, size_bits)
+                budget.record_exact()
+            else:
+                cls, candidate = fpc.match_approx(word, info.mask)
+                if candidate == word:
+                    budget.record_exact()
+                elif not budget.admits(word, candidate, dtype):
+                    cls, candidate = fpc.match_exact(word)
+                else:
+                    # A changed candidate always comes from a compressible
+                    # row: the uncompressed row returns the word itself.
+                    approx_mask |= bit
+            decoded.append(candidate)
+            codes.append(cls.nr_code)
+            bit <<= 1
+        return self._finish_encode(block, tuple(decoded), tuple(codes),
+                                   approx_mask, fpc.block_bits(codes))
 
 
 class FpVaxxScheme(FpCompScheme):

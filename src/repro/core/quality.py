@@ -13,7 +13,9 @@ metrics the paper plots:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
+
+from repro.core.block import DataType, relative_word_error
 
 
 @dataclass
@@ -39,6 +41,31 @@ class QualityTracker:
         self.error_sum += relative_error
         if relative_error > self.max_word_error:
             self.max_word_error = relative_error
+
+    def record_block_words(self, original: Tuple[int, ...],
+                           decoded: Tuple[int, ...], encoded: int,
+                           approximated: int, dtype: DataType) -> None:
+        """Record every word of one transmitted block in one call.
+
+        ``encoded`` counts the block's compressed words and
+        ``approximated`` those of them the encoder approximated.  Only
+        words whose decoded pattern differs from the original are priced,
+        and only nonzero errors are added to ``error_sum``, in word order:
+        adding 0.0 never changes a float sum, so the total is bit-identical
+        to calling :meth:`record_word` once per word.
+        """
+        self.total_words += len(original)
+        self.approx_encoded_words += approximated
+        self.exact_encoded_words += encoded - approximated
+        if decoded is original or decoded == original:
+            return
+        for precise, approx in zip(original, decoded):
+            if precise != approx:
+                err = relative_word_error(precise, approx, dtype)
+                if err:
+                    self.error_sum += err
+                    if err > self.max_word_error:
+                        self.max_word_error = err
 
     def record_block(self, approximable: bool) -> None:
         """Record one transmitted block (for approximable-ratio accounting)."""

@@ -25,6 +25,7 @@ quiescence proof O(1) lives in :data:`SKIP_ACCOUNTED_STATE`.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.compression.base import CompressionScheme
@@ -549,23 +550,21 @@ class Network:
                 if not active[request.src]:
                     active[request.src] = True
                     self._busy_ni_count += 1
-        # Only NIs with queued, in-flight or decoding work take their turn;
-        # idle ones are skipped (analogous to the router _buffered skip).
-        # Per-NI process+inject ordering is unchanged: NIs never interact
+        # Only NIs with queued, in-flight or decoding work take their turn
+        # (one tick each: process, then inject); idle ones are skipped
+        # (analogous to the router _buffered skip).  NIs never interact
         # with each other within a cycle.
         if profile and self._busy_ni_count:
             self.stats.ni_phase_ticks += 1
-        nis = self.nis
-        accept_fns = self._accept_fns
-        for node in range(len(nis)):
-            if not active[node]:
-                continue
-            ni = nis[node]
-            ni.process(now)
-            ni.inject(now, accept_fns[node])
-            if not ni.busy():
-                active[node] = False
-                self._busy_ni_count -= 1
+        if self._busy_ni_count:
+            nis = self.nis
+            accept_fns = self._accept_fns
+            # compress() walks the active flags in C, in node order; a
+            # tick only ever clears its own node's flag.
+            for node in compress(range(len(nis)), active):
+                if not nis[node].tick(now, accept_fns[node]):
+                    active[node] = False
+                    self._busy_ni_count -= 1
         if profile and self._buffered_total:
             self.stats.router_phase_ticks += 1
         self._cycle_routers(now)

@@ -213,6 +213,23 @@ class NetworkInterface:
                     f"(vc_depth {vc_depth})")
         return violations
 
+    # -------------------------------------------------------------- tick
+
+    def tick(self, now: int,
+             accept: Callable[[int, Flit, int], None]) -> bool:
+        """This NI's turn in one network cycle: finish the decode jobs due
+        now and packetize their notifications (:meth:`process`), then
+        push at most one flit (:meth:`inject`).  Each half runs only when
+        it has something to do.  Returns :meth:`busy` afterwards, so the
+        network can drop an idle NI from its active set."""
+        pending = self._pending_decodes
+        if (pending and pending[0][0] <= now) \
+                or self._outbound_notifications:
+            self.process(now)
+        if self._current_flits is not None or self._queue:
+            self.inject(now, accept)
+        return self.busy()
+
     # --------------------------------------------------------- injection
 
     def inject(self, now: int,

@@ -54,11 +54,17 @@ class TraceRecord:
     approximable: bool = False
 
     def to_request(self) -> TrafficRequest:
-        """Convert to the NI-facing request."""
+        """Convert to the NI-facing request.
+
+        The words are trusted as 32-bit patterns: every ingestion path
+        validates them (:meth:`from_json`, :func:`validate_record`, the
+        binary reader's unsigned 32-bit decode) or took them from a
+        recorded :class:`CacheBlock`.
+        """
         block = None
         if self.kind is PacketKind.DATA:
-            block = CacheBlock(tuple(self.words), dtype=self.dtype,
-                               approximable=self.approximable)
+            block = CacheBlock.trusted(tuple(self.words), self.dtype,
+                                       self.approximable)
         return TrafficRequest(self.src, self.dst, self.kind, block)
 
     def to_json(self) -> str:
@@ -291,8 +297,8 @@ class TraceTraffic:
         self._ordinal += 1
         approximable = approx_override_marked(self._ordinal,
                                               self.approx_override)
-        block = CacheBlock(request.block.words, dtype=request.block.dtype,
-                           approximable=approximable)
+        block = CacheBlock.trusted(request.block.words, request.block.dtype,
+                                   approximable)
         return TrafficRequest(request.src, request.dst, request.kind, block)
 
     def next_arrival(self, now: int,

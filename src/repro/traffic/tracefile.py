@@ -491,8 +491,8 @@ class StreamingTraceTraffic:
         self._ordinal += 1
         approximable = approx_override_marked(self._ordinal,
                                               self.approx_override)
-        block = CacheBlock(request.block.words, dtype=request.block.dtype,
-                           approximable=approximable)
+        block = CacheBlock.trusted(request.block.words, request.block.dtype,
+                                   approximable)
         return TrafficRequest(request.src, request.dst, request.kind, block)
 
     def next_arrival(self, now: int,

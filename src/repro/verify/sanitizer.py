@@ -67,6 +67,7 @@ from typing import (
     Tuple,
 )
 
+from repro.compression.adaptive import AdaptiveScheme
 from repro.core.avcl import Avcl
 from repro.core.block import CacheBlock, relative_word_error
 from repro.core.error_control import WindowErrorBudget
@@ -175,10 +176,16 @@ class NocSanitizer:
         #: (router, port, vc) -> flits ejected through that output VC.
         self._ejected: Dict[Tuple[int, int, int], int] = {}
         self._trace: Deque[TraceEvent] = deque(maxlen=self.TRACE_LEN)
+        #: The scheme whose codecs approximate: an adaptive on/off
+        #: wrapper delegates every compressed block to its inner scheme.
+        policy = network.scheme
+        while isinstance(policy, AdaptiveScheme):
+            policy = policy.inner
+        self._policy_scheme = policy
         #: Lazily-built AVCL mirroring the scheme's threshold, for the
         #: delivery oracle (None for schemes that never approximate).
-        threshold = getattr(network.scheme, "error_threshold_pct", None)
-        mode = getattr(network.scheme, "avcl_mode", "paper")
+        threshold = getattr(policy, "error_threshold_pct", None)
+        mode = getattr(policy, "avcl_mode", "paper")
         self._oracle_avcl: Optional[Avcl] = (
             Avcl(threshold, mode=mode) if threshold is not None else None)
 
@@ -283,8 +290,7 @@ class NocSanitizer:
         """Recheck a corrupt-but-delivered payload against the fault
         injector's declared damage: each word must equal the encoder's
         promise XOR the recorded corruption masks — no more, no less."""
-        words = packet.encoded.words
-        expected = [enc.decoded for enc in words]
+        expected = list(packet.encoded.decoded)
         n = len(expected)
         for index, mask in packet.fault.xors:
             expected[index % n] ^= mask
@@ -300,36 +306,45 @@ class NocSanitizer:
                                block: CacheBlock) -> None:
         """Recheck every delivered word against the encoder's promise and
         the scheme's error bound (APPROX-NoC §3: threshold-bounded
-        per-word error)."""
+        per-word error).
+
+        Which words may differ from the original is read from the
+        encoder-declared ``approx_mask``, never from ``decoded !=
+        original``: a value that changed without being declared is
+        exactly what this check exists to catch."""
         encoded = packet.encoded
-        words = encoded.words
-        if len(block.words) != len(words):
+        original = encoded.original
+        decoded = encoded.decoded
+        approx_mask = encoded.approx_mask
+        if len(block.words) != len(decoded):
             self._fail(
                 "error-bound",
                 f"packet {packet.pid} delivered {len(block.words)} words "
-                f"but {len(words)} were encoded")
-        budget = getattr(self.network.scheme.node(packet.src), "budget",
+                f"but {len(decoded)} were encoded")
+        budget = getattr(self._policy_scheme.node(packet.src), "budget",
                          None)
         dtype = encoded.dtype
-        for index, (word, enc) in enumerate(zip(block.words, words)):
-            if word != enc.decoded:
+        for index, (word, promised) in enumerate(zip(block.words, decoded)):
+            if word != promised:
                 self._fail(
                     "error-bound",
                     f"packet {packet.pid} word {index}: delivered "
                     f"{word:#010x} but the encoder promised "
-                    f"{enc.decoded:#010x}")
-            if not enc.approximated:
-                if word != enc.original:
+                    f"{promised:#010x}")
+            precise = original[index]
+            if not approx_mask >> index & 1:
+                if word != precise:
                     self._fail(
                         "error-bound",
                         f"packet {packet.pid} word {index}: value changed "
-                        f"({enc.original:#010x} -> {word:#010x}) without "
+                        f"({precise:#010x} -> {word:#010x}) without "
                         f"being marked approximated")
                 continue
-            self._check_approximated_word(packet, index, enc, dtype, budget)
+            self._check_approximated_word(packet, index, precise, promised,
+                                          dtype, budget)
 
     def _check_approximated_word(self, packet: Packet, index: int,
-                                 enc: Any, dtype: Any,
+                                 original: int, decoded: int, dtype: Any,
                                  budget: Optional[object]) -> None:
         avcl = self._oracle_avcl
         if avcl is None:
@@ -339,28 +354,28 @@ class NocSanitizer:
                 f"{self.network.scheme.name!r} declares no error threshold "
                 f"yet delivered an approximated word")
             return
-        diff = enc.original ^ enc.decoded
+        diff = original ^ decoded
         # Admissible when the don't-care mask of *either* endpoint covers
         # the deviation: FP-VAXX masks the original word's value, DI-VAXX's
         # TCAM masks the stored (= decoded) pattern.  For floats the mask
         # stays within the low mantissa bits, so raw-word XOR is exact.
-        info_orig = avcl.evaluate(enc.original, dtype)
-        info_dec = avcl.evaluate(enc.decoded, dtype)
+        info_orig = avcl.evaluate(original, dtype)
+        info_dec = avcl.evaluate(decoded, dtype)
         if info_orig.bypass and diff:
             self._fail(
                 "error-bound",
                 f"packet {packet.pid} word {index}: AVCL-bypass value "
-                f"{enc.original:#010x} (special float) was approximated "
-                f"to {enc.decoded:#010x}")
+                f"{original:#010x} (special float) was approximated "
+                f"to {decoded:#010x}")
         if diff & ~info_orig.mask and diff & ~info_dec.mask:
             self._fail(
                 "error-bound",
                 f"packet {packet.pid} word {index}: deviation "
-                f"{enc.original:#010x} -> {enc.decoded:#010x} exceeds the "
+                f"{original:#010x} -> {decoded:#010x} exceeds the "
                 f"AVCL don't-care mask at threshold "
                 f"{avcl.error_threshold_pct}%")
         if isinstance(budget, WindowErrorBudget):
-            err = relative_word_error(enc.original, enc.decoded, dtype)
+            err = relative_word_error(original, decoded, dtype)
             allowance = budget.threshold * budget.window + 1e-12
             if err > allowance:
                 self._fail(

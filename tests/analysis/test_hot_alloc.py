@@ -108,3 +108,55 @@ class TestHotPathAllocation:
                 def cycle_all(self, now):
                     return {"now": now}
             """) == []
+
+
+BASE = "src/repro/compression/base.py"
+SCHEMES = "src/repro/compression/schemes.py"
+
+
+def run_codec(base_source, schemes_source):
+    return analyze_project(
+        {BASE: textwrap.dedent(base_source),
+         SCHEMES: textwrap.dedent(schemes_source)},
+        [get_rule("hot-alloc")])
+
+
+class TestCodecHotPaths:
+    def test_per_word_object_construction_flags(self):
+        findings = run_codec("""\
+            class WordEncoding:
+                pass
+            """, """\
+            class BaselineNode:
+                def encode(self, block, dst):
+                    for word in block.words:
+                        self.out.append(WordEncoding())
+            """)
+        assert len(findings) == 1
+        assert "object construction (WordEncoding)" in findings[0].message
+        assert "BaselineNode.encode" in findings[0].message
+
+    def test_inherited_helper_is_reported_in_its_own_module(self):
+        findings = run_codec("""\
+            class NodeCodec:
+                def _finish_encode(self, block):
+                    return [block]
+            """, """\
+            class BaselineNode(NodeCodec):
+                def encode(self, block, dst):
+                    return self._finish_encode(block)
+            """)
+        assert len(findings) == 1
+        assert findings[0].path == BASE
+        assert "NodeCodec._finish_encode" in findings[0].message
+
+    def test_calls_to_functions_and_builtins_pass(self):
+        assert run_codec("""\
+            def match(word):
+                return word
+            """, """\
+            class BaselineNode:
+                def encode(self, block, dst):
+                    codes = tuple(map(match, block.words))
+                    return codes  # per-block output via a call, no literal
+            """) == []

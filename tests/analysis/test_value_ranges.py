@@ -25,6 +25,8 @@ from repro.core.avcl import shift_bits_for_threshold
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 AVCL_PATH = "src/repro/core/avcl.py"
+APCL_PATH = "src/repro/core/apcl.py"
+DI_VAXX_PATH = "src/repro/core/di_vaxx.py"
 CORE = "src/repro/core/fixture.py"
 NOC = "src/repro/noc/fixture.py"
 
@@ -199,6 +201,40 @@ class TestAvclCertifier:
             budget = Fraction(MODE_FACTORS[mode] * e, 100)
             if mode == "strict":
                 assert Fraction(1, 1 << runtime) <= budget
+
+    def consumer_findings(self, avcl_source, modules):
+        files = {AVCL_PATH: avcl_source}
+        for path in (APCL_PATH, DI_VAXX_PATH):
+            files[path] = modules.get(path) or (
+                REPO_ROOT / path).read_text(encoding="utf-8")
+        findings = analyze_project(files, [get_rule("avcl-error-bound")])
+        return [f for f in findings if f.path in (APCL_PATH, DI_VAXX_PATH)]
+
+    def test_committed_tcam_consumers_are_clean(self, avcl_source):
+        assert self.consumer_findings(avcl_source, {}) == []
+
+    def test_tcam_matching_without_the_ternary_is_caught(self, avcl_source):
+        di_vaxx = textwrap.dedent("""\
+            class DiVaxxNode:
+                def _tcam_search(self, word, entry, info):
+                    if info.bypass:
+                        return None
+                    return word == entry.value
+            """)
+        findings = self.consumer_findings(avcl_source,
+                                          {DI_VAXX_PATH: di_vaxx})
+        assert any(".matches or .care+.care_value" in f.message
+                   for f in findings)
+
+    def test_precomputed_care_must_invert_the_mask(self, avcl_source):
+        apcl = (REPO_ROOT / APCL_PATH).read_text(encoding="utf-8")
+        mutated = apcl.replace("return ~self.mask & WORD_MASK",
+                               "return self.mask & WORD_MASK")
+        assert mutated != apcl
+        findings = self.consumer_findings(avcl_source,
+                                          {APCL_PATH: mutated})
+        assert any("TernaryPattern.care does not compare" in f.message
+                   for f in findings)
 
     def test_certified_schemes_cover_paper_thresholds(self):
         es = sorted({e for _, e in CERTIFIED_SCHEMES})

@@ -82,7 +82,7 @@ class TestControl:
                                 window=8)
         block = CacheBlock.from_ints([70000] * 16, approximable=True)
         out, encoded = scheme.roundtrip(block, 0, 1)
-        assert any(w.approximated for w in encoded.words)
+        assert encoded.approx_mask
 
     def test_name(self):
         assert make_scheme().name == "Adaptive(FP-COMP)"

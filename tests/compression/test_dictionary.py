@@ -120,7 +120,7 @@ class TestDiCompEndToEnd:
         scheme = DiCompScheme(n_nodes=4)
         block = CacheBlock.from_ints([1, 2, 3, 4])
         encoded = scheme.node(0).encode(block, dst=1)
-        assert all(not w.compressed for w in encoded.words)
+        assert all(code is None for code in encoded.codes)
         # nothing compressed -> the block ships raw (the fallback marker
         # rides in the head flit, not the payload)
         assert encoded.size_bits == 4 * 32
@@ -132,7 +132,7 @@ class TestDiCompEndToEnd:
         scheme.roundtrip(block, 0, 1)
         scheme.roundtrip(block, 0, 1)
         encoded = scheme.node(0).encode(block, dst=1)
-        assert all(w.compressed for w in encoded.words)
+        assert None not in encoded.codes
         assert encoded.size_bits == 4 * (1 + 3)
 
     def test_compression_is_destination_specific(self):
@@ -142,7 +142,7 @@ class TestDiCompEndToEnd:
         scheme.roundtrip(block, 0, 1)
         # Node 2 never learned the pattern: no compression toward it.
         encoded = scheme.node(0).encode(block, dst=2)
-        assert all(not w.compressed for w in encoded.words)
+        assert all(code is None for code in encoded.codes)
 
     def test_roundtrip_is_always_exact(self):
         scheme = DiCompScheme(n_nodes=4)
@@ -161,12 +161,12 @@ class TestDiCompEndToEnd:
         scheme.roundtrip(a, 0, 1)
         scheme.roundtrip(b, 0, 1)
         # compressible now
-        assert scheme.node(0).encode(a, 1).words[0].compressed
+        assert scheme.node(0).encode(a, 1).codes[0] is not None
         # c's promotion evicts the LFU entry and invalidates the encoder
         scheme.roundtrip(c, 0, 1)
         enc_a = scheme.node(0).encode(a, 1)
         enc_b = scheme.node(0).encode(b, 1)
-        assert not (enc_a.words[0].compressed and enc_b.words[0].compressed)
+        assert enc_a.codes[0] is None or enc_b.codes[0] is None
 
     def test_admission_control_protects_hot_entries(self):
         """A hot PMT entry is not evicted by a marginal new pattern."""
@@ -178,8 +178,8 @@ class TestDiCompEndToEnd:
         scheme.roundtrip(warm, 0, 1)  # fills the second slot, heats it
         cold = CacheBlock.from_ints([3])
         scheme.roundtrip(cold, 0, 1)  # admission denied: both entries hot
-        assert scheme.node(0).encode(hot, 1).words[0].compressed
-        assert scheme.node(0).encode(warm, 1).words[0].compressed
+        assert scheme.node(0).encode(hot, 1).codes[0] is not None
+        assert scheme.node(0).encode(warm, 1).codes[0] is not None
 
     def test_notification_misdelivery_raises(self):
         scheme = DiCompScheme(n_nodes=4, detect_threshold=1)

@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 from repro.compression import fpc
 from repro.compression.base import packet_flits
-from repro.compression.schemes import (
-    BaselineScheme,
-    FpCompScheme,
-    assemble_fpc_words,
-)
+from repro.compression.schemes import BaselineScheme, FpCompScheme
 from repro.core.block import CacheBlock
 
 
@@ -53,29 +49,22 @@ class TestBaseline:
 
 
 class TestZeroRunAssembly:
-    def _zero_match(self):
-        cls = fpc.COMPRESSIBLE_CLASSES[0]
-        return (0, cls, 0, False)
+    ZERO = fpc.COMPRESSIBLE_CLASSES[0].nr_code
 
     def test_single_zero_costs_prefix_plus_runlength(self):
-        words, bits = assemble_fpc_words([self._zero_match()])
-        assert bits == 6
-        assert words[0].compressed
+        assert fpc.block_bits([self.ZERO]) == 6
+        assert self.ZERO is not None  # a zero word is encoded
 
     def test_run_of_zeros_costs_one_header(self):
-        words, bits = assemble_fpc_words([self._zero_match()] * 8)
-        assert bits == 6  # one run header covers up to 8 words
+        assert fpc.block_bits([self.ZERO] * 8) == 6  # one header, 8 words
 
     def test_run_longer_than_8_starts_new_run(self):
-        words, bits = assemble_fpc_words([self._zero_match()] * 9)
-        assert bits == 12
+        assert fpc.block_bits([self.ZERO] * 9) == 12
 
     def test_interrupted_run_restarts(self):
-        cls4, cand = fpc.match_exact(5)
-        matches = [self._zero_match(), (5, cls4, cand, False),
-                   self._zero_match()]
-        _, bits = assemble_fpc_words(matches)
-        assert bits == 6 + (3 + 4) + 6
+        cls4, _ = fpc.match_exact(5)
+        codes = [self.ZERO, cls4.nr_code, self.ZERO]
+        assert fpc.block_bits(codes) == 6 + (3 + 4) + 6
 
 
 class TestFpComp:

@@ -115,7 +115,7 @@ class TestDiVaxx:
         scheme = DiVaxxScheme(n_nodes=2, error_threshold_pct=10,
                               detect_threshold=2)
         _, enc = self._warm(scheme, [1000] * 8)
-        assert all(w.compressed for w in enc.words)
+        assert None not in enc.codes
 
     def test_approximate_hit_after_learning(self):
         scheme = DiVaxxScheme(n_nodes=2, error_threshold_pct=10,
@@ -123,7 +123,8 @@ class TestDiVaxx:
         self._warm(scheme, [1000] * 8)
         near = CacheBlock.from_ints([1001] * 8, approximable=True)
         out, enc = scheme.roundtrip(near, 0, 1)
-        assert all(w.compressed and w.approximated for w in enc.words)
+        assert None not in enc.codes
+        assert enc.approx_mask == (1 << len(enc.codes)) - 1
         assert out.as_ints() == [1000] * 8  # recovered reference pattern
 
     def test_non_approximable_requires_exact(self):
@@ -133,7 +134,7 @@ class TestDiVaxx:
         near = CacheBlock.from_ints([1001] * 8, approximable=False)
         out, enc = scheme.roundtrip(near, 0, 1)
         assert out.as_ints() == [1001] * 8
-        assert not any(w.approximated for w in enc.words)
+        assert enc.approx_mask == 0
 
     def test_exact_hit_on_original_pattern(self):
         scheme = DiVaxxScheme(n_nodes=2, error_threshold_pct=10,
@@ -141,7 +142,7 @@ class TestDiVaxx:
         self._warm(scheme, [1000] * 8)
         same = CacheBlock.from_ints([1000] * 8, approximable=False)
         out, enc = scheme.roundtrip(same, 0, 1)
-        assert all(w.compressed for w in enc.words)
+        assert None not in enc.codes
         assert out.as_ints() == [1000] * 8
 
     def test_dtype_segregation(self):
@@ -159,7 +160,7 @@ class TestDiVaxx:
         self._warm(scheme, [1000] * 8, dst=1)
         block = CacheBlock.from_ints([1000] * 8, approximable=True)
         enc_to_2 = scheme.node(0).encode(block, dst=2)
-        assert not any(w.compressed for w in enc_to_2.words)
+        assert all(code is None for code in enc_to_2.codes)
 
     def test_notifications_counted(self):
         scheme = DiVaxxScheme(n_nodes=2, detect_threshold=2)

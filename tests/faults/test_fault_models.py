@@ -107,14 +107,9 @@ class TestWindowSchedule:
         assert len(shapes) > 1
 
 
-class _FakeWord:
-    def __init__(self, decoded):
-        self.decoded = decoded
-
-
 class _FakeEncoded:
     def __init__(self, words):
-        self.words = [_FakeWord(w) for w in words]
+        self.decoded = tuple(words)
 
 
 class _FakePacket:

@@ -125,7 +125,7 @@ class TestNotificationTransport:
             PacketKind.NOTIFICATION.value, 0)
         assert notif >= 1
         encoded = scheme.node(0).encode(block, dst=3)
-        assert any(w.compressed for w in encoded.words)
+        assert any(code is not None for code in encoded.codes)
 
 
 class TestFullSystemMesh:

@@ -59,7 +59,7 @@ class TestUniversalInvariants:
     def test_word_count_preserved(self, name, factory):
         for block, out, encoded in stream(factory()):
             assert len(out) == len(block)
-            assert len(encoded.words) == len(block)
+            assert len(encoded.decoded) == len(encoded.codes) == len(block)
 
     @pytest.mark.parametrize("name,factory", ALL_SCHEMES)
     def test_non_approximable_is_bit_exact(self, name, factory):

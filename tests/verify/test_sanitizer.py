@@ -11,11 +11,11 @@ import random
 
 import pytest
 
-from repro.compression import BaselineScheme
+from repro.compression import AdaptiveScheme, BaselineScheme
 from repro.core import CacheBlock, FpVaxxScheme
 from repro.core.block import DataType
 from repro.core.error_control import WindowErrorBudget
-from repro.compression.base import EncodedBlock, WordEncoding
+from repro.compression.base import EncodedBlock
 from repro.harness.experiment import benchmark_trace, run_trace
 from repro.noc import Network, NocConfig, PacketKind, TrafficRequest
 from repro.noc.config import TINY_CONFIG
@@ -233,7 +233,19 @@ class CorruptingScheme(BaselineScheme):
 
 
 def oracle_packet(word_encodings, dtype=DataType.INT):
-    encoded = EncodedBlock(words=list(word_encodings), dtype=dtype,
+    """A packet whose encoded block carries the given ``word`` triples.
+
+    The approximated mask is built from each triple's *declared* flag,
+    never from ``decoded != original``."""
+    originals = tuple(original for original, _, _ in word_encodings)
+    decoded = tuple(value for _, value, _ in word_encodings)
+    approx_mask = 0
+    for index, (_, _, approximated) in enumerate(word_encodings):
+        if approximated:
+            approx_mask |= 1 << index
+    encoded = EncodedBlock(original=originals, decoded=decoded,
+                           codes=(0,) * len(word_encodings),
+                           approx_mask=approx_mask, dtype=dtype,
                            approximable=True,
                            size_bits=32 * len(word_encodings))
     return Packet(src=0, dst=1, kind=PacketKind.DATA,
@@ -241,8 +253,7 @@ def oracle_packet(word_encodings, dtype=DataType.INT):
 
 
 def word(original, decoded, approximated):
-    return WordEncoding(original=original, decoded=decoded, bits=32,
-                        compressed=True, approximated=approximated)
+    return original, decoded, approximated
 
 
 class TestErrorBoundOracle:
@@ -304,3 +315,14 @@ class TestErrorBoundOracle:
         packet = oracle_packet([word(100, 111, approximated=True)])
         with pytest.raises(SanitizerError, match="window budget"):
             sanitizer._check_delivered_block(packet, CacheBlock((111,)))
+
+    def test_adaptive_wrapper_is_checked_against_its_inner_scheme(self):
+        inner = FpVaxxScheme(SANITIZED_TINY.n_nodes)
+        sanitizer = Network(SANITIZED_TINY, AdaptiveScheme(inner))._sanitizer
+        sanitizer._check_delivered_block(
+            oracle_packet([word(100, 108, approximated=True)]),
+            CacheBlock((108,)))
+        packet = oracle_packet([word(100, 100 ^ 0x100, approximated=True)])
+        with pytest.raises(SanitizerError, match="don't-care mask"):
+            sanitizer._check_delivered_block(packet,
+                                             CacheBlock((100 ^ 0x100,)))
