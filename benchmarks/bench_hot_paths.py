@@ -13,8 +13,7 @@ Times, over fixed deterministic workloads:
   both the struct-of-arrays core and the object core (DESIGN.md §14),
   with the wall clock split per step phase so regressions are
   attributable to a phase rather than a total;
-* big-mesh stepping — the same load on 16x16, plus the numpy backend
-  when it is importable;
+* big-mesh stepping — the same load on 16x16, on both cores;
 * trace pipeline — end-to-end replay (trace load + run) of a
   500k-record trace on 16x16 from JSON-lines (eager ``load_trace``)
   versus the memory-mapped binary format (``StreamingTraceTraffic``,
@@ -334,32 +333,18 @@ def bench_network_step_saturated() -> dict:
 
 def bench_network_step_bigmesh() -> dict:
     """Big-mesh stepping: the saturated workload on 16x16, SoA vs object
-    core, plus the numpy backend when it is importable."""
+    core."""
     config = NocConfig(mesh_width=16, mesh_height=16, concentration=1)
     source = SyntheticTraffic(config, injection_rate=SATURATED_RATE,
                               seed=13, data_ratio=0.25)
     trace = record_trace(source, BIGMESH_CYCLES)
-    soa_s, _, soa_net, obj_s, _ = _core_comparison(config, trace,
-                                                   BIGMESH_CYCLES)
-    results = {
+    soa_s, _, _, obj_s, _ = _core_comparison(config, trace, BIGMESH_CYCLES)
+    return {
         "network_step_bigmesh_s": soa_s,
         "network_step_bigmesh_cycles_per_sec": BIGMESH_CYCLES / soa_s,
         "network_step_bigmesh_objectcore_s": obj_s,
         "network_step_bigmesh_speedup_x": obj_s / soa_s,
     }
-    try:
-        import numpy  # noqa: F401  (optional extra, see pyproject [fast])
-    except ImportError:
-        return results
-    np_cfg = replace(config, core="numpy")
-    np_net = _replay_network(np_cfg, "Baseline", trace)
-    np_net.run(BIGMESH_CYCLES)
-    if np_net.stats.simulation_outputs() != soa_net.stats.simulation_outputs():
-        raise AssertionError(
-            "numpy core diverged from the SoA core on the bench workload")
-    results["network_step_bigmesh_numpy_s"] = _timed_replay(
-        np_cfg, "Baseline", trace, BIGMESH_CYCLES)
-    return results
 
 
 def _synth_trace_records(n_nodes: int, n_records: int, seed: int = 17):
@@ -611,8 +596,7 @@ def check(results: dict, baseline_path: str, max_regression: float) -> int:
         if not name.endswith("_s"):
             continue  # non-timing metric (cycles/sec, speedup): not gated
         if name.endswith(("_sanitized_s", "_alwaysstep_s",
-                          "_faultsoff_s", "_objectcore_s", "_numpy_s",
-                          "_jsonl_s")):
+                          "_faultsoff_s", "_objectcore_s", "_jsonl_s")):
             continue  # debug/comparator timing: gated above or never
         reference = baseline.get(name)
         if reference is None:

@@ -59,7 +59,6 @@ INIT_PATHS: Dict[str, FrozenSet[str]] = {
     "Router": frozenset({"__init__"}),
     "NetworkInterface": frozenset({"__init__", "attach_fault_layer"}),
     "SoaCore": frozenset({"__init__", "bind"}),
-    "NumpyCore": frozenset({"__init__", "bind"}),
     "SoaRouter": frozenset({"__init__", "inputs", "out_credits"}),
 }
 
@@ -81,9 +80,6 @@ SKIP_PATHS: Dict[str, FrozenSet[str]] = {
     "SoaCore": frozenset({"next_ready_all", "next_ready_router",
                           "skip_all", "skip_router", "occupancy",
                           "buffer_occupancy", "credit_count", "audit"}),
-    "NumpyCore": frozenset({"next_ready_all", "next_ready_router",
-                            "skip_all", "skip_router", "occupancy",
-                            "buffer_occupancy", "credit_count", "audit"}),
     "NetworkInterface": frozenset({"next_work", "busy", "queue_depth",
                                    "audit_credits"}),
 }
@@ -135,8 +131,8 @@ _RECEIVER_PATTERNS: Dict[str, Tuple[str, ...]] = {
     "ni": ("NetworkInterface",),
     "routers[]": ("Router", "SoaRouter"),
     "router": ("Router", "SoaRouter"),
-    "_core": ("SoaCore", "NumpyCore"),
-    "core": ("SoaCore", "NumpyCore"),
+    "_core": ("SoaCore",),
+    "core": ("SoaCore",),
 }
 
 

@@ -1,10 +1,10 @@
 """Experiment harness: mechanism registry, per-figure drivers, reporting.
 
-The figure drivers pull in :mod:`repro.apps`, whose kernels need numpy
-(the ``[fast]`` extra).  Everything else in the harness — and both
-default simulation cores — is pure stdlib, so the figure names below are
-resolved lazily (PEP 562): ``run_trace`` and friends import cleanly on a
-numpy-free install, and only touching a figure driver raises ImportError.
+The figure drivers pull in :mod:`repro.apps`, whose kernels need numpy.
+Everything else in the harness — and both simulation cores — is pure
+stdlib, so the figure names below are resolved lazily (PEP 562):
+``run_trace`` and friends import cleanly on a numpy-free install, and
+only touching a figure driver raises ImportError.
 """
 
 from repro.harness.experiment import (

@@ -244,6 +244,41 @@ def trace_source(trace: TraceLike, loop: bool = True,
     return TraceTraffic(trace, loop=loop, approx_override=approx_override)
 
 
+def _measured_run(config: NocConfig, mechanism: str,
+                  make_traffic: Callable[[NocConfig], object],
+                  warmup: int, measure: int, error_threshold_pct: float,
+                  drain_budget: Optional[int]) -> RunResult:
+    """Shared body of :func:`run_trace` and :func:`run_synthetic`.
+
+    Runs ``warmup`` cycles, resets every counter, runs ``measure`` cycles
+    and snapshots the result.  With a ``drain_budget`` the network is then
+    drained (raising if it cannot empty in time) and the drain cycles are
+    excluded from the measured cycle count; with None it is not drained.
+    """
+    start = time.perf_counter()
+    hits0, misses0 = encode_cache_totals()
+    scheme = make_scheme(mechanism, config.n_nodes, error_threshold_pct)
+    network = Network(config, scheme)
+    network.set_traffic(make_traffic(config))
+    network.run(warmup)
+    network.stats.reset()
+    scheme.stats.reset()
+    scheme.quality.reset()
+    network.run(measure)
+    if drain_budget is not None:
+        measured_cycles = network.stats.cycles
+        if not network.drain(drain_budget):
+            raise RuntimeError(
+                f"{mechanism} failed to drain within {drain_budget} cycles")
+        network.stats.cycles = measured_cycles  # drain isn't measurement
+    hits1, misses1 = encode_cache_totals()
+    network.stats.encode_cache_hits = hits1 - hits0
+    network.stats.encode_cache_misses = misses1 - misses0
+    result = RunResult.from_network(network)
+    result.wall_time_s = time.perf_counter() - start
+    return result
+
+
 def run_trace(config: NocConfig, mechanism: str, trace: TraceLike,
               warmup: int, measure: int,
               error_threshold_pct: float = 10.0,
@@ -261,6 +296,8 @@ def run_trace(config: NocConfig, mechanism: str, trace: TraceLike,
     :class:`StreamingTraceTraffic` without ever materializing the record
     list (see :func:`trace_source`).  ``trace_start``/``trace_stop``
     select a record window (used to shard big traces across workers).
+    The network is drained after the window; a drain that does not finish
+    within ``drain_budget`` cycles raises :class:`RuntimeError`.
 
     ``sanitize`` overrides ``config.sanitize`` (None keeps the config's
     setting; the ``REPRO_SANITIZE`` environment variable still applies).
@@ -269,73 +306,31 @@ def run_trace(config: NocConfig, mechanism: str, trace: TraceLike,
     overrides ``config.core`` the same way (the cross-core identity suite
     runs one config through every backend).
     """
-    start = time.perf_counter()
-    hits0, misses0 = encode_cache_totals()
     if sanitize is not None and sanitize != config.sanitize:
         config = replace(config, sanitize=sanitize)
     if event_horizon is not None and event_horizon != config.event_horizon:
         config = replace(config, event_horizon=event_horizon)
     if core is not None and core != config.core:
         config = replace(config, core=core)
-    scheme = make_scheme(mechanism, config.n_nodes, error_threshold_pct)
-    network = Network(config, scheme)
-    network.set_traffic(trace_source(trace, loop=True,
+    return _measured_run(
+        config, mechanism,
+        lambda _config: trace_source(trace, loop=True,
                                      approx_override=approx_override,
                                      trace_start=trace_start,
-                                     trace_stop=trace_stop))
-    network.run(warmup)
-    network.stats.reset()
-    scheme.stats.reset()
-    scheme.quality.reset()
-    network.run(measure)
-    measured_cycles = network.stats.cycles
-    if not network.drain(drain_budget):
-        raise RuntimeError(
-            f"{mechanism} failed to drain within {drain_budget} cycles")
-    network.stats.cycles = measured_cycles  # drain isn't measurement time
-    hits1, misses1 = encode_cache_totals()
-    network.stats.encode_cache_hits = hits1 - hits0
-    network.stats.encode_cache_misses = misses1 - misses0
-    result = RunResult.from_network(network)
-    result.wall_time_s = time.perf_counter() - start
-    return result
+                                     trace_stop=trace_stop),
+        warmup, measure, error_threshold_pct, drain_budget)
 
 
-def run_synthetic(config: NocConfig, mechanism: str, traffic_factory,
+def run_synthetic(config: NocConfig, mechanism: str,
+                  traffic_factory: Callable[[NocConfig], object],
                   warmup: int, measure: int,
-                  error_threshold_pct: float = 10.0,
-                  drain_budget: int = 400_000,
-                  sanitize: Optional[bool] = None,
-                  event_horizon: Optional[bool] = None,
-                  core: Optional[str] = None) -> RunResult:
+                  error_threshold_pct: float = 10.0) -> RunResult:
     """Run live synthetic traffic (Figure 12's methodology).
 
     ``traffic_factory(config)`` builds a fresh traffic source so each
     mechanism sees an identically-seeded stream.  Unlike :func:`run_trace`,
     saturated networks are expected here: the run is *not* drained, and
-    latency reflects packets delivered inside the window.  ``sanitize``,
-    ``event_horizon`` and ``core`` override their config fields as in
-    :func:`run_trace`.
+    latency reflects packets delivered inside the window.
     """
-    start = time.perf_counter()
-    hits0, misses0 = encode_cache_totals()
-    if sanitize is not None and sanitize != config.sanitize:
-        config = replace(config, sanitize=sanitize)
-    if event_horizon is not None and event_horizon != config.event_horizon:
-        config = replace(config, event_horizon=event_horizon)
-    if core is not None and core != config.core:
-        config = replace(config, core=core)
-    scheme = make_scheme(mechanism, config.n_nodes, error_threshold_pct)
-    network = Network(config, scheme)
-    network.set_traffic(traffic_factory(config))
-    network.run(warmup)
-    network.stats.reset()
-    scheme.stats.reset()
-    scheme.quality.reset()
-    network.run(measure)
-    hits1, misses1 = encode_cache_totals()
-    network.stats.encode_cache_hits = hits1 - hits0
-    network.stats.encode_cache_misses = misses1 - misses0
-    result = RunResult.from_network(network)
-    result.wall_time_s = time.perf_counter() - start
-    return result
+    return _measured_run(config, mechanism, traffic_factory, warmup,
+                         measure, error_threshold_pct, drain_budget=None)

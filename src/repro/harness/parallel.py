@@ -424,12 +424,14 @@ def _requeue_or_fail(queue: Deque[_Batch],
                 next_attempts, use_cache)
 
 
-def _teardown(executor: ProcessPoolExecutor) -> None:
+def shutdown_executor(executor: ProcessPoolExecutor) -> None:
     """Abandon a pool whose workers can no longer be trusted (hung or
     crashed): cancel what never started and terminate the processes —
     a worker stuck in a runaway simulation will not exit on its own.
 
-    Idempotent: the campaign service stops its supervisor from both a
+    Idempotent: safe to call any number of times, from any of the paths
+    that can race to stop a pool — drain, SIGTERM, supervisor stop, pool
+    self-break.  The campaign service stops its supervisor from both a
     drain path and a signal handler, so the same executor may be torn
     down twice (or torn down after the pool already broke itself);
     repeated calls are no-ops and never raise."""
@@ -447,13 +449,6 @@ def _teardown(executor: ProcessPoolExecutor) -> None:
             process.terminate()
         except Exception:  # repro: allow[bare-except]
             pass  # already dead or reaped
-
-
-def shutdown_executor(executor: ProcessPoolExecutor) -> None:
-    """Public idempotent executor teardown (see :func:`_teardown`): safe
-    to call any number of times, from any of the paths that can race to
-    stop a pool — drain, SIGTERM, supervisor stop, pool self-break."""
-    _teardown(executor)
 
 
 def _raise_keyboard_interrupt(signum: int, frame: object) -> None:
@@ -565,7 +560,7 @@ def _run_pool(specs: Sequence[RunSpec], misses: List[int],
                         _finish(outcomes, specs, index, result, error,
                                 attempts + 1, use_cache)
             if dirty:
-                _teardown(executor)
+                shutdown_executor(executor)
                 executor = None
                 if queue and retry_backoff_s > 0:
                     time.sleep(min(retry_backoff_s * (2 ** rebuilds), 30.0))
@@ -574,7 +569,7 @@ def _run_pool(specs: Sequence[RunSpec], misses: List[int],
         # Graceful interrupt: kill the pool now; everything finished so
         # far is already flushed to the cache by _finish.
         if executor is not None:
-            _teardown(executor)
+            shutdown_executor(executor)
             executor = None
         raise
     finally:

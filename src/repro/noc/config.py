@@ -13,6 +13,9 @@ from typing import Optional
 
 from repro.faults.config import FaultConfig
 
+#: Simulation-core backends selectable via ``NocConfig(core=...)``.
+CORE_BACKENDS = ("object", "soa")
+
 
 @dataclass(frozen=True, slots=True)
 class NocConfig:
@@ -57,11 +60,11 @@ class NocConfig:
     #: it entirely; an all-zero :class:`~repro.faults.config.FaultConfig`
     #: builds the layer but is bit-identical to None.
     faults: Optional[FaultConfig] = None
-    #: Simulation-core backend (DESIGN.md §14): ``"soa"`` (default) steps
-    #: all routers in one batched pass over flat state arrays, ``"object"``
-    #: keeps the per-object reference routers, ``"numpy"`` adds vectorized
-    #: wakeup reductions (optional dependency, ``pip install .[fast]``).
-    #: All three are bit-identical; ``router_factory`` forces ``object``.
+    #: Simulation-core backend, one of :data:`CORE_BACKENDS` (DESIGN.md
+    #: §14): ``"soa"`` (default) steps all routers in one batched pass over
+    #: flat state arrays, ``"object"`` keeps the per-object reference
+    #: routers.  Both are bit-identical; ``router_factory`` forces
+    #: ``object``.
     core: str = "soa"
 
     def __post_init__(self) -> None:
@@ -70,9 +73,9 @@ class NocConfig:
                      "block_bytes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.core not in ("object", "soa", "numpy"):
+        if self.core not in CORE_BACKENDS:
             raise ValueError(
-                f"core must be one of 'object', 'soa', 'numpy', "
+                f"core must be one of CORE_BACKENDS {CORE_BACKENDS}, "
                 f"got {self.core!r}")
 
     @property

@@ -45,20 +45,13 @@ the object-core surface the rest of the repo relies on (``accept``,
 ``credit_return``, ``next_ready``, ``skip_cycles``, ``audit``,
 ``_buffered``, ``inputs``/``out_credits`` for tests and the sanitizer), so
 ``network.routers`` keeps working regardless of the selected core.
-
-:class:`NumpyCore` (``NocConfig(core="numpy")``) stores ``head_ready`` as a
-numpy int64 array and vectorizes the min-reductions — a win for big meshes
-under low load where the reduction dominates, at the cost of slightly
-slower scalar reads in the saturated-load loop.  numpy is an optional
-extra (``pip install '.[fast]'``); the ``object`` and ``soa`` cores never
-import it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.noc.config import NocConfig
 from repro.noc.packet import Flit
@@ -73,34 +66,6 @@ _INF = 1 << 60
 #: never produces such a hop; the sentinel decodes as an impossible
 #: ejection node so a routing bug fails loudly instead of corrupting state.
 _EDGE = -(1 << 50)
-
-#: Core backends selectable via ``NocConfig(core=...)``.
-CORE_BACKENDS = ("object", "soa", "numpy")
-
-
-def make_core(kind: str, config: NocConfig, topology: MeshTopology,
-              stats: NetworkStats, route) -> "SoaCore":
-    """Build the requested batched core (``soa`` or ``numpy``).
-
-    The ``object`` core has no :class:`SoaCore`; ``Network`` keeps its
-    per-object router list for that backend (and for custom
-    ``router_factory`` classes, which subclass ``Router``).
-    """
-    if kind == "soa":
-        return SoaCore(config, topology, stats, route)
-    if kind == "numpy":
-        try:
-            import numpy  # noqa: F401 - availability probe
-        except ImportError as exc:
-            raise RuntimeError(
-                "NocConfig(core='numpy') requires numpy, which is an "
-                "optional dependency — install it with "
-                "`pip install '.[fast]'` (or `pip install numpy`), or "
-                "select core='soa' for the pure-Python batched core"
-            ) from exc
-        return NumpyCore(config, topology, stats, route)
-    raise ValueError(f"unknown core backend {kind!r}; "
-                     f"expected one of {CORE_BACKENDS}")
 
 
 class SoaCore:
@@ -1120,39 +1085,3 @@ class SoaRouter:
                  else divmod(core.out_owner[base + port * V + vc], V)
                  for vc in range(V)]
                 for port in range(core.n_ports)]
-
-
-class NumpyCore(SoaCore):
-    """SoA core with ``head_ready`` as a numpy array.
-
-    The scalar per-flit loop is shared with :class:`SoaCore` (numpy scalar
-    indexing is marginally slower there), but the wakeup reductions behind
-    ``next_ready``/``skip_cycles`` vectorize — the win grows with mesh
-    size and quiescence (16x16+ under low load).  Results stay
-    bit-identical: reductions return plain ``int``s, never numpy scalars.
-    """
-
-    def __init__(self, config: NocConfig, topology: MeshTopology,
-                 stats: NetworkStats, route):
-        super().__init__(config, topology, stats, route)
-        import numpy
-        self._np = numpy
-        self.head_ready = numpy.full(len(self.bufs), _INF,
-                                     dtype=numpy.int64)
-
-    def next_ready_all(self, now: int) -> Optional[int]:
-        head_ready = self.head_ready
-        eligible = head_ready[head_ready >= now]
-        if not eligible.size:
-            return None
-        best = int(eligible.min())
-        return None if best == _INF else best
-
-    def next_ready_router(self, rid: int, now: int) -> Optional[int]:
-        base = rid * self.slots
-        segment = self.head_ready[base:base + self.slots]
-        eligible = segment[segment >= now]
-        if not eligible.size:
-            return None
-        best = int(eligible.min())
-        return None if best == _INF else best

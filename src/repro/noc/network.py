@@ -181,10 +181,6 @@ SKIP_ACCOUNTED_STATE: Dict[str, Dict[str, str]] = {
         "send_fns": "static",
         "credit_fns": "static",
     },
-    "NumpyCore": {
-        "_np": "static",
-        "head_ready": "wakeup",
-    },
     "SoaRouter": {
         "core": "static",
         "router_id": "static",
@@ -297,12 +293,13 @@ class Network:
         # Core selection (DESIGN.md §14): the batched struct-of-arrays core
         # is the default; custom router classes (router_factory) require
         # per-object routers, so they force the object core.
-        core_kind = config.core if router_factory is None else "object"
         self._core = None
-        if core_kind != "object":
-            from repro.noc.core_soa import make_core
-            self._core = make_core(core_kind, config, self.topology,
-                                   self.stats, self._route)
+        if router_factory is None and config.core == "soa":
+            # Imported here: processes that never build a network (the
+            # campaign service's front end) do not load the core.
+            from repro.noc.core_soa import SoaCore
+            self._core = SoaCore(config, self.topology, self.stats,
+                                 self._route)
             self.routers = self._core.routers
         else:
             make_router = (router_factory if router_factory is not None
@@ -735,7 +732,7 @@ class Network:
             core = self._core
             if core is not None:
                 # One min-reduction over the flat head_ready array replaces
-                # the per-router next_ready loop (vectorized under numpy).
+                # the per-router next_ready loop.
                 ready = core.next_ready_all(now)
                 if ready is not None and ready < horizon:
                     horizon = ready

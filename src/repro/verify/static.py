@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.config import FaultConfig
-from repro.noc.config import NocConfig
+from repro.noc.config import CORE_BACKENDS, NocConfig
 from repro.noc.routing import (
     ROUTING_FUNCTIONS,
     get_routing_fn,
@@ -64,13 +64,6 @@ VALIDATED_CONFIG_FIELDS = frozenset({
     "frequency_ghz", "overlap_compression", "sanitize", "event_horizon",
     "profile_phases", "faults", "core",
 })
-
-#: Legal simulation-core backends (mirrors ``core_soa.CORE_BACKENDS``;
-#: duplicated literal to keep this module import-light and cycle-free).
-#: Availability of numpy is deliberately *not* checked here — the static
-#: verifier validates shape, and ``make_core`` raises the actionable
-#: install-hint error at network construction time.
-_CORE_BACKENDS = ("object", "soa", "numpy")
 
 #: Fields that must be integers >= 1.
 _POSITIVE_INT_FIELDS = ("mesh_width", "mesh_height", "concentration",
@@ -188,10 +181,10 @@ def _check_config_fields(config: NocConfig) -> List[Violation]:
             message=f"block_bytes must be a multiple of the 32-bit word "
                     f"size, got {config.block_bytes}"))
     core = getattr(config, "core", None)
-    if core not in _CORE_BACKENDS:
+    if core not in CORE_BACKENDS:
         violations.append(Violation(
             code="VERIFY201", rule="config-field", severity="error",
-            message=f"core must be one of {_CORE_BACKENDS}, got {core!r}"))
+            message=f"core must be one of {CORE_BACKENDS}, got {core!r}"))
     return violations
 
 

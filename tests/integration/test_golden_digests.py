@@ -10,7 +10,9 @@ and fault outcomes all feed the digest.
 Covered: one INT benchmark (ssca2) and one FLOAT benchmark
 (streamcluster) under all five mechanisms, FP-VAXX under a window error
 budget that vetoes some matches, DI-VAXX with bit flips and flit drops
-under NoCSan, the adaptive on/off wrapper around DI-VAXX, and BD-VAXX.
+under NoCSan, the adaptive on/off wrapper around DI-VAXX, BD-VAXX, and
+one undrained live-synthetic run through :func:`run_synthetic` (Figure
+12's methodology).
 """
 
 from dataclasses import replace
@@ -27,10 +29,12 @@ from repro.harness.experiment import (
     RunResult,
     benchmark_trace,
     make_scheme,
+    run_synthetic,
     run_trace,
     trace_source,
 )
 from repro.noc import Network, NocConfig
+from repro.traffic import SyntheticTraffic, get_benchmark
 
 CONFIG = NocConfig()
 TRACE_CYCLES = 600
@@ -69,6 +73,8 @@ ADAPTIVE_DIGEST = (
     "074b90bc337251ef5bd80a8f49f18a8cd9932b41bb6d87954a65fc8d6949c9e4")
 BD_VAXX_DIGEST = (
     "4d9adf9463b6896ab08089d72f000d5cea1f63b54a1a669eab59cc2980c158c4")
+SYNTHETIC_DI_VAXX_DIGEST = (
+    "b2945dbf71bf4535c6cdbd929ba073e6b03d5b11add6b991eb697e7a4f3ca6cb")
 
 
 def _trace(benchmark: str) -> list:
@@ -127,3 +133,15 @@ def test_bd_vaxx_digest():
     result = _run_scheme(BdVaxxScheme(CONFIG.n_nodes), "ssca2")
     assert result.approx_fraction > 0
     assert result.identity_digest() == BD_VAXX_DIGEST
+
+
+def test_synthetic_di_vaxx_digest():
+    def factory(config):
+        return SyntheticTraffic(
+            config, pattern="transpose", injection_rate=0.2,
+            data_ratio=0.25, value_model=get_benchmark("streamcluster").model,
+            seed=13)
+
+    result = run_synthetic(CONFIG, "DI-VAXX", factory, WARMUP, MEASURE,
+                           error_threshold_pct=5.0)
+    assert result.identity_digest() == SYNTHETIC_DI_VAXX_DIGEST

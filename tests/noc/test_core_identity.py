@@ -1,12 +1,11 @@
 """Cross-core bit-identity (DESIGN.md §14).
 
 The contract under test: ``NocConfig(core=...)`` selects an execution
-backend, never a behaviour.  The struct-of-arrays core (and the numpy
-variant when numpy is installed) must produce bit-identical
-``simulation_outputs``, delivered word streams and stats to the reference
-object core on every workload — including with the sanitizer auditing
-every cycle, with the event horizon on and off, and with a nonzero fault
-campaign armed.  ``Packet.pid`` is a process-global counter, not a
+backend, never a behaviour.  The struct-of-arrays core must produce
+bit-identical ``simulation_outputs``, delivered word streams and stats to
+the reference object core on every workload — including with the
+sanitizer auditing every cycle, with the event horizon on and off, and
+with a nonzero fault campaign armed.  ``Packet.pid`` is a process-global counter, not a
 simulation observable, so deliveries are compared by
 (src, dst, kind, cycle, words).
 """
@@ -18,21 +17,12 @@ import pytest
 from repro.faults import FaultConfig
 from repro.harness.experiment import make_scheme, run_trace
 from repro.noc import Network, NocConfig
+from repro.noc.core_soa import SoaCore
 from repro.traffic import SyntheticTraffic, TraceTraffic, record_trace
 
 
-def _has_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-#: Backends compared against the reference object core.  numpy rides along
-#: when importable; the suite must pass without it (the SoA core is pure
-#: stdlib — see the [fast] optional extra).
-ALT_CORES = ["soa"] + (["numpy"] if _has_numpy() else [])
+#: Backends compared against the reference object core.
+ALT_CORES = ["soa"]
 
 BASE = NocConfig()  # the paper's 4x4 concentrated mesh
 
@@ -88,6 +78,30 @@ def test_cores_identical_across_event_horizon(core, event_horizon):
     got = run_trace(BASE, "FP-VAXX", trace, 100, 900, core=core,
                     event_horizon=event_horizon)
     assert got.simulation_outputs() == ref.simulation_outputs()
+
+
+def test_cores_identical_when_skipping_buffered_flits(monkeypatch):
+    """A deep router pipeline leaves lone flits buffered across quiet
+    cycles, so the event horizon jumps while flits are buffered: the only
+    runs that reach ``SoaCore.next_ready_all``/``skip_all`` and replay the
+    VA rotation over a skip.  On the three-stage paper router no quiet
+    cycle has a flit buffered."""
+    skips = []
+    skip_all = SoaCore.skip_all
+
+    def counting_skip_all(self, count):
+        skips.append(count)
+        skip_all(self, count)
+
+    monkeypatch.setattr(SoaCore, "skip_all", counting_skip_all)
+    config = replace(BASE, router_stages=8)
+    trace = _trace(config, 0.01, 3)
+    ref = run_trace(config, "DI-VAXX", trace, 100, 900, core="object",
+                    event_horizon=False)
+    for core in ("object", "soa"):
+        got = run_trace(config, "DI-VAXX", trace, 100, 900, core=core)
+        assert got.simulation_outputs() == ref.simulation_outputs()
+    assert skips  # the soa run skipped with flits buffered
 
 
 @pytest.mark.parametrize("core", ALT_CORES)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.noc.config import NocConfig, PAPER_CONFIG, TINY_CONFIG
+from repro.noc.config import (
+    CORE_BACKENDS,
+    NocConfig,
+    PAPER_CONFIG,
+    TINY_CONFIG,
+)
 from repro.noc.packet import Packet, PacketKind, fragment
 
 
@@ -67,6 +72,12 @@ class TestConfig:
             NocConfig(num_vcs=0)
         with pytest.raises(ValueError):
             NocConfig(flit_bytes=0)
+
+    @pytest.mark.parametrize("core", ["numpy", "SoA", ""])
+    def test_unknown_core_backend_rejected(self, core):
+        assert CORE_BACKENDS == ("object", "soa")
+        with pytest.raises(ValueError, match="CORE_BACKENDS"):
+            NocConfig(core=core)
 
     def test_full_system_mesh(self):
         """The §5.4 full-system 8x8 mesh with 64 cores."""

@@ -13,7 +13,6 @@ from repro.harness.experiment import (
     benchmark_trace,
     make_scheme,
     run_trace,
-    trace_source,
 )
 from repro.noc import Network, NocConfig
 from repro.traffic import (
@@ -28,15 +27,7 @@ from repro.traffic import (
 CONFIG = NocConfig(mesh_width=4, mesh_height=4)
 
 
-def _has_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-        return True
-    except ImportError:
-        return False
-
-
-CORES = ["object", "soa"] + (["numpy"] if _has_numpy() else [])
+CORES = ["object", "soa"]
 
 
 @pytest.fixture(scope="module")

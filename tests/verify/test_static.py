@@ -141,6 +141,16 @@ class TestConfigRules:
         assert report.ok  # warning only
         assert "VERIFY203" in codes(report)
 
+    def test_unknown_core_backend_is_verify201(self):
+        # A config forced past NocConfig.__post_init__ must still be
+        # refused by the static gate.
+        config = NocConfig()
+        object.__setattr__(config, "core", "numpy")
+        report = verify_config(config, "xy")
+        assert not report.ok
+        assert any(v.code == "VERIFY201" and "'numpy'" in v.message
+                   for v in report.violations)
+
     def test_all_noc_config_fields_are_registered(self):
         # Runtime twin of the REPRO602 lint rule: adding a NocConfig field
         # without a validation rule must fail here too.
